@@ -384,6 +384,9 @@ func TestFigure5CameraToTVAcrossNodes(t *testing.T) {
 	// Both nodes converge on the full picture through the directory.
 	camProfile := w.waitLookup(h1, core.Query{DeviceType: "BIP-Camera"}, 1)[0]
 	w.waitLookup(h1, core.Query{DeviceType: upnp.DeviceTypeMediaRenderer}, 1)
+	// H2 issues the remote Connect to the camera below, so its directory
+	// must hold the camera too.
+	w.waitLookup(h2, core.Query{DeviceType: "BIP-Camera"}, 1)
 
 	// Dynamic device binding (paper Section 3.5): connect the camera's
 	// image output to "anything that accepts image/jpeg and renders it

@@ -129,9 +129,7 @@ func (f *MemFile) Write(p []byte) (int, error) {
 	defer f.d.mu.Unlock()
 	end := f.off + int64(len(p))
 	if end > int64(len(f.d.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.d.data)
-		f.d.data = grown
+		f.d.data = zeroExtend(f.d.data, end)
 	}
 	copy(f.d.data[f.off:end], p)
 	f.off = end
@@ -176,15 +174,22 @@ func (f *MemFile) Truncate(size int64) error {
 	}
 	f.d.mu.Lock()
 	defer f.d.mu.Unlock()
-	switch {
-	case size <= int64(len(f.d.data)):
+	if size <= int64(len(f.d.data)) {
 		f.d.data = f.d.data[:size]
-	default:
-		grown := make([]byte, size)
-		copy(grown, f.d.data)
-		f.d.data = grown
+	} else {
+		f.d.data = zeroExtend(f.d.data, size)
 	}
 	return nil
+}
+
+// zeroExtend grows data to size bytes, the new tail zeroed (including
+// capacity an earlier Truncate left behind). append's amortised policy
+// keeps a stream of small appends — a journal — linear in the bytes
+// written; reallocating to the exact size on every write made it
+// quadratic in the file. The slack append leaves on a large file is at
+// most a quarter of it.
+func zeroExtend(data []byte, size int64) []byte {
+	return append(data, make([]byte, size-int64(len(data)))...)
 }
 
 // Sync is a no-op beyond counting: memory is already "stable storage"

@@ -3,6 +3,7 @@ package netemu
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/wal"
@@ -118,6 +119,61 @@ func TestMemFileSeekTruncate(t *testing.T) {
 	}
 	if _, err := f.Seek(-1, io.SeekStart); err == nil {
 		t.Fatal("negative seek accepted")
+	}
+}
+
+// TestMemFileAppendIsAmortised: a journal-shaped stream of small appends
+// allocates in proportion to the bytes written, not to their square (a
+// reallocation of the whole file per write: 30 GB here), and the slack
+// left behind stays within a quarter of the file.
+func TestMemFileAppendIsAmortised(t *testing.T) {
+	net := NewNetwork(Unlimited())
+	defer net.Close()
+	f := net.Disk("n").Open("journal")
+	defer f.Close()
+	const appends, recBytes = 10_000, 600
+	rec := bytes.Repeat([]byte{0xa5}, recBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < appends; i++ {
+		if _, err := f.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const total = appends * recBytes
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16*total {
+		t.Fatalf("%d appends of %d B allocated %d MB, want O(%d MB written)", appends, recBytes, got>>20, total>>20)
+	}
+	if size := net.Disk("n").Size("journal"); size != total {
+		t.Fatalf("size = %d, want %d", size, total)
+	}
+	f.d.mu.Lock()
+	slack := cap(f.d.data) - len(f.d.data)
+	f.d.mu.Unlock()
+	if slack > total/4+4096 {
+		t.Fatalf("%d bytes of slack behind a %d byte file, want at most a quarter", slack, total)
+	}
+	// A write past the end leaves a zeroed hole, also inside capacity a
+	// Truncate left behind.
+	if err := f.Truncate(recBytes); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(2*recBytes, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("end")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(recBytes, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(make([]byte, recBytes), "end"...); !bytes.Equal(got, want) {
+		t.Fatalf("hole after truncate reads %q…, want %d zero bytes then %q", got[:8], recBytes, "end")
 	}
 }
 

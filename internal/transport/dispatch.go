@@ -77,7 +77,7 @@ func newDispatcher(m *Module, maxWorkers int) *dispatcher {
 // enqueue queues one deliver frame for its destination, spawning a
 // worker if the pool has capacity. Safe after close: the frame is
 // discarded with its accounting settled.
-func (d *dispatcher) enqueue(f frame, done func()) {
+func (d *dispatcher) enqueue(f *frame, done func()) {
 	dst := f.header.Dst
 	d.mu.Lock()
 	if d.closed {
@@ -91,7 +91,7 @@ func (d *dispatcher) enqueue(f frame, done func()) {
 		q = &dstQueue{dst: dst, frames: d.getSpare(), spare: d.getSpare()}
 		d.queues[dst] = q
 	}
-	q.frames = append(q.frames, inbound{f: f, done: done})
+	q.frames = append(q.frames, inbound{f: *f, done: done})
 	if !q.queued {
 		q.queued = true
 		d.ready = append(d.ready, q)
@@ -125,7 +125,7 @@ func (d *dispatcher) run() {
 			q.spare = nil
 			d.mu.Unlock()
 			for i := range batch {
-				d.m.handleInbound(batch[i])
+				d.m.handleInbound(&batch[i])
 				batch[i] = inbound{}
 			}
 			d.mu.Lock()
@@ -153,17 +153,17 @@ func (d *dispatcher) close() {
 	d.ready = nil
 	d.mu.Unlock()
 	for _, q := range queues {
-		for _, in := range q.frames {
-			in.f.release()
-			in.done()
+		for i := range q.frames {
+			q.frames[i].f.release()
+			q.frames[i].done()
 		}
 	}
 }
 
 // handleInbound delivers one inbound frame to its local translator and
 // settles the frame's buffer and accounting.
-func (m *Module) handleInbound(in inbound) {
-	f := in.f
+func (m *Module) handleInbound(in *inbound) {
+	f := &in.f
 	// An in-transit frame (non-empty route) is not ours: forward it to
 	// its next hop instead of delivering. Running here keeps forwards on
 	// the bounded worker pool with the sender backpressured through the

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"maps"
+	"reflect"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -10,9 +11,38 @@ import (
 	"repro/internal/core"
 )
 
-// FuzzFrameRoundTrip drives arbitrary frames through encodeFrame /
-// readFrameFrom and asserts the decoded frame is field-for-field
-// identical. It exercises both codecs: deliver frames take the binary
+// decodeBothWays decodes wire the way tests do (readFrameFrom: no
+// connection state, every string a plain copy) and the way a connection
+// does (header scratch and intern table), the latter twice on one state
+// so both the table's miss and hit paths run. All three must agree on
+// the error and, field for field, on the frame.
+func decodeBothWays(t *testing.T, wire []byte) (frame, error) {
+	t.Helper()
+	plain, err := readFrameFrom(bytes.NewReader(wire), nil)
+	var st readState
+	for _, pass := range []string{"miss", "hit"} {
+		var f frame
+		serr := readFrame(bytes.NewReader(wire), nil, &st, &f)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("decode without a table: %v; with one (%s pass): %v", err, pass, serr)
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(f.header, plain.header) || !bytes.Equal(f.payload, plain.payload) {
+			t.Fatalf("decode with a table (%s pass) differs:\n with    %+v\n without %+v", pass, f.header, plain.header)
+		}
+		f.release()
+	}
+	if n := len(st.names.m); n > internMaxEntries || st.names.bytes > internMaxBytes {
+		t.Fatalf("intern table out of bounds: %d entries, %d bytes", n, st.names.bytes)
+	}
+	return plain, err
+}
+
+// FuzzFrameRoundTrip drives arbitrary frames through encodeFrame and
+// both decoders (decodeBothWays) and asserts the decoded frame is
+// field-for-field identical. It exercises both codecs: deliver frames take the binary
 // header fast path, control frames the JSON path.
 func FuzzFrameRoundTrip(f *testing.F) {
 	// Corpus drawn from wire_test.go's round-trip cases.
@@ -68,7 +98,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		got, err := readFrameFrom(bytes.NewReader(wire), nil)
+		got, err := decodeBothWays(t, wire)
 		if err != nil {
 			t.Fatalf("decode of freshly encoded frame failed: %v", err)
 		}
@@ -115,7 +145,7 @@ func FuzzFrameRead(f *testing.F) {
 	f.Add([]byte{0x80, 0, 0, 2, 1, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrameFrom(bytes.NewReader(data), nil)
+		fr, err := decodeBothWays(t, data)
 		if err != nil {
 			return
 		}

@@ -103,7 +103,7 @@ func (m *Module) routeFor(node string) (first string, route []string, ok bool) {
 // forwardFrame relays one in-transit deliver frame to its next hop.
 // Runs on a dispatcher worker; the caller settles the frame's buffer
 // and accounting afterwards.
-func (m *Module) forwardFrame(f frame) {
+func (m *Module) forwardFrame(f *frame) {
 	hdr := f.header
 	if m.relayDup(hdr.From, hdr.RelayID) {
 		m.relayDupDrop.Inc()
@@ -133,7 +133,7 @@ func (m *Module) forwardFrame(f frame) {
 	// The payload still aliases the pooled read buffer; write() copies it
 	// into the batch buffer before returning, so release-after-return in
 	// the caller is safe.
-	if err := fc.write(frame{header: hdr, payload: f.payload}); err != nil {
+	if err := fc.write(&frame{header: hdr, payload: f.payload}); err != nil {
 		m.relayRouteFail.Inc()
 		m.dropPeer(key, fc)
 		return

@@ -287,10 +287,6 @@ type Options struct {
 	// must finish with msg.Payload before Deliver returns; retaining a
 	// payload requires copying it first (core.Message.Clone).
 	DeliverOwnership Ownership
-	// ZeroCopyDeliver is the deprecated spelling of
-	// OwnershipAliased: zero-copy delivery with no mutation tracking.
-	// Ignored when DeliverOwnership is set explicitly.
-	ZeroCopyDeliver bool
 	// WriteShards sets how many striped connections this module opens
 	// toward each peer node (default: GOMAXPROCS, capped at 16). Each
 	// outbound path is pinned to one stripe, so per-path frame order is
@@ -326,9 +322,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RelayTTL <= 0 {
 		o.RelayTTL = 8
-	}
-	if o.DeliverOwnership == OwnershipTracked && o.ZeroCopyDeliver {
-		o.DeliverOwnership = OwnershipAliased
 	}
 	if o.WriteShards <= 0 {
 		o.WriteShards = runtime.GOMAXPROCS(0)
@@ -691,30 +684,39 @@ func (m *Module) readLoop(fc *frameConn) {
 	}()
 
 	sem := make(chan struct{}, deliverQueueDepth)
+	// One completion callback for every delivery of the connection: a
+	// closure built per frame is a heap allocation per message.
+	done := func() {
+		m.queueDepth.Add(-1)
+		<-sem
+	}
+	var f frame
 	for {
-		f, err := fc.read()
-		if err != nil {
+		if err := fc.read(&f); err != nil {
 			return
 		}
 		if f.header.Type == frameDeliver {
+			// A slot is almost always free; the two-case select
+			// (runtime.selectgo) is the slow path.
 			select {
 			case sem <- struct{}{}:
-			case <-m.ctx.Done():
-				f.release()
-				return
+			default:
+				select {
+				case sem <- struct{}{}:
+				case <-m.ctx.Done():
+					f.release()
+					return
+				}
 			}
 			m.queueDepth.Add(1)
-			m.dispatch.enqueue(f, func() {
-				m.queueDepth.Add(-1)
-				<-sem
-			})
+			m.dispatch.enqueue(&f, done)
 			continue
 		}
-		m.handleFrame(fc, f)
+		m.handleFrame(fc, &f)
 	}
 }
 
-func (m *Module) handleFrame(fc *frameConn, f frame) {
+func (m *Module) handleFrame(fc *frameConn, f *frame) {
 	switch f.header.Type {
 	case frameHello:
 		m.registerPeer(f.header.From, fc)
@@ -730,14 +732,14 @@ func (m *Module) handleFrame(fc *frameConn, f frame) {
 		delete(m.pending, f.header.ID)
 		m.mu.Unlock()
 		if ch != nil {
-			ch <- f
+			ch <- *f
 		}
 	default:
 		m.opts.Logger.Warn("transport: unknown frame", "type", f.header.Type)
 	}
 }
 
-func (m *Module) reply(fc *frameConn, req frame, id PathID, err error) {
+func (m *Module) reply(fc *frameConn, req *frame, id PathID, err error) {
 	h := frameHeader{From: m.node, ID: req.header.ID, PathID: id}
 	if err != nil {
 		h.Type = frameError
@@ -745,7 +747,7 @@ func (m *Module) reply(fc *frameConn, req frame, id PathID, err error) {
 	} else {
 		h.Type = frameAck
 	}
-	if werr := fc.write(frame{header: h}); werr != nil {
+	if werr := fc.write(&frame{header: h}); werr != nil {
 		m.opts.Logger.Warn("transport: reply failed", "err", werr)
 	}
 }
@@ -917,7 +919,7 @@ func (m *Module) dialPeer(node string) (*frameConn, error) {
 	}
 	fc := newFrameConn(conn)
 	fc.setMetrics(m.codecMet)
-	if err := fc.write(frame{header: frameHeader{Type: frameHello, From: m.node}}); err != nil {
+	if err := fc.write(&frame{header: frameHeader{Type: frameHello, From: m.node}}); err != nil {
 		fc.close()
 		return nil, fmt.Errorf("transport: hello to %q: %w", node, err)
 	}
@@ -1091,7 +1093,7 @@ func (m *Module) request(node string, f frame) (frame, error) {
 	f.header.ID = id
 	f.header.From = m.node
 
-	if err := fc.write(f); err != nil {
+	if err := fc.write(&f); err != nil {
 		m.mu.Lock()
 		delete(m.pending, id)
 		m.mu.Unlock()
@@ -1183,7 +1185,7 @@ func (m *Module) ConnectQueryClass(src core.PortRef, q core.Query, class qos.Cla
 }
 
 // installFromFrame handles a forwarded connect request.
-func (m *Module) installFromFrame(f frame) (PathID, error) {
+func (m *Module) installFromFrame(f *frame) (PathID, error) {
 	class := qos.Class{}
 	if f.header.Class != nil {
 		class = *f.header.Class
@@ -1310,7 +1312,10 @@ func (m *Module) addPath(p *path) (PathID, error) {
 	// Resolve metric handles before the path is visible to PathStats.
 	p.met = m.newPathMetrics(p.id)
 	m.paths[p.id] = p
-	m.bySrc[p.src] = append(m.bySrc[p.src], p)
+	// bySrc lists are immutable once published (Emit reads them outside
+	// the lock): adding copies, as removing does.
+	list := m.bySrc[p.src]
+	m.bySrc[p.src] = append(list[:len(list):len(list)], p)
 	m.mu.Unlock()
 
 	m.trace.Event("path_connect", m.node, string(p.id))
@@ -1416,7 +1421,7 @@ func (m *Module) removeLocalPath(id PathID) error {
 // OwnershipTracked verifies on the inbound side.
 func (m *Module) Emit(src core.PortRef, msg core.Message) {
 	m.mu.Lock()
-	paths := append([]*path(nil), m.bySrc[src]...)
+	paths := m.bySrc[src] // immutable snapshot, see addPath
 	m.mu.Unlock()
 	msg.Source = src
 	if msg.Time.IsZero() {
@@ -1591,7 +1596,7 @@ func (m *Module) deliver(p *path, dst core.PortRef, msg core.Message) error {
 		if err != nil {
 			return err
 		}
-		if err := fc.write(f); err != nil {
+		if err := fc.write(&f); err != nil {
 			p.fcCache = nil
 			m.dropPeer(key, fc)
 			return err
@@ -1602,7 +1607,8 @@ func (m *Module) deliver(p *path, dst core.PortRef, msg core.Message) error {
 	if err != nil {
 		return err
 	}
-	if err := fc.write(deliverFrame(m.node, dst, msg)); err != nil {
+	f := deliverFrame(m.node, dst, msg)
+	if err := fc.write(&f); err != nil {
 		// A failed write may have left a partial frame on the stream,
 		// desynchronizing the peer; discard the connection so the redial
 		// cycle replaces it cleanly.

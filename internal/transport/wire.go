@@ -82,7 +82,10 @@ type frameHeader struct {
 // pooled payload buffer. The receiver must either copy the payload out
 // (frame.message does) or finish using it (frame.messageZeroCopy)
 // before calling release(); after release the payload may be recycled
-// into a concurrent read and must not be touched.
+// into a concurrent read and must not be touched. The header's strings
+// are never pooled: the routing names may be shared with the
+// connection's intern table, which only ever hands out immutable
+// strings.
 type frame struct {
 	header  frameHeader
 	payload []byte
@@ -101,10 +104,14 @@ type connMetrics struct {
 	batchFrames *obs.Histogram
 }
 
-// frameBufs recycles frame scratch buffers — read-side header and
-// payload buffers and write-side batch buffers — across every
-// connection in the process.
-var frameBufs = sync.Pool{}
+// frameBufs recycles read-side payload buffers across every connection
+// in the process. A sync.Pool holds pointers, so each buffer travels in
+// a *[]byte box; bufBoxes recycles the emptied boxes, or every putBuf
+// would heap-allocate a slice header to return a slice.
+var (
+	frameBufs sync.Pool
+	bufBoxes  sync.Pool
+)
 
 // getBuf returns a length-n buffer, reusing a pooled one when its
 // capacity suffices.
@@ -112,8 +119,10 @@ func getBuf(n int, met *connMetrics) []byte {
 	if met != nil {
 		met.poolGets.Inc()
 	}
-	if v := frameBufs.Get(); v != nil {
-		b := *(v.(*[]byte))
+	if box, _ := frameBufs.Get().(*[]byte); box != nil {
+		b := *box
+		*box = nil
+		bufBoxes.Put(box)
 		if cap(b) >= n {
 			return b[:n]
 		}
@@ -131,8 +140,80 @@ func putBuf(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	b = b[:0]
-	frameBufs.Put(&b)
+	box, _ := bufBoxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	frameBufs.Put(box)
+}
+
+// Bounds of a connection's intern table. Names longer than
+// internMaxString are not worth keeping; a table that reaches either of
+// the other two bounds is reset wholesale, so a peer sending ever-new
+// names costs one plain copy per name and cannot grow it.
+const (
+	internMaxString  = 256
+	internMaxEntries = 1024
+	internMaxBytes   = 64 << 10
+)
+
+// internTable deduplicates the routing strings of deliver headers —
+// node, translator, port and type names, which repeat on every message
+// of a path — so the steady-state decode allocates none of them. It
+// belongs to a connection's single reader and is not safe for
+// concurrent use. A nil table interns nothing.
+type internTable struct {
+	m     map[string]string
+	bytes int
+}
+
+// intern returns b as a string, shared with earlier calls when the
+// table holds it.
+func (t *internTable) intern(b []byte) string {
+	if t == nil || len(b) == 0 || len(b) > internMaxString {
+		return string(b)
+	}
+	if s, ok := t.m[string(b)]; ok { // no allocation: the compiler elides this conversion
+		return s
+	}
+	if t.m == nil {
+		t.m = make(map[string]string)
+	} else if len(t.m) >= internMaxEntries || t.bytes+len(b) > internMaxBytes {
+		clear(t.m)
+		t.bytes = 0
+	}
+	s := string(b)
+	t.m[s] = s
+	t.bytes += len(s)
+	return s
+}
+
+// hdrScratchMax bounds the header scratch a connection retains; a
+// larger header (a control frame carrying a big query) is read into a
+// one-off buffer instead.
+const hdrScratchMax = 4 << 10
+
+// readState is the decode state a connection's single reader carries
+// from frame to frame: the header scratch, the intern table and the
+// length-word buffer. The decoder copies every string out of the
+// scratch before the next read.
+type readState struct {
+	hdr    []byte
+	names  internTable
+	lenBuf [4]byte // a local one escapes through io.Reader: an allocation per frame
+}
+
+// hdrBuf returns a length-n header buffer, the retained scratch when n
+// is within hdrScratchMax.
+func (st *readState) hdrBuf(n int) []byte {
+	if n > hdrScratchMax {
+		return make([]byte, n)
+	}
+	if cap(st.hdr) < n {
+		st.hdr = make([]byte, n, max(n, 256))
+	}
+	return st.hdr[:n]
 }
 
 // release returns the frame's pooled payload buffer (no-op otherwise).
@@ -157,13 +238,14 @@ func (f *frame) release() {
 type frameConn struct {
 	conn net.Conn
 	r    *bufio.Reader
+	rs   readState // owned by the single reader (read has one caller per connection)
 	met  *connMetrics
 
 	wmu        sync.Mutex
 	wCond      *sync.Cond
 	wbuf       []byte // accumulating batch
 	wframes    int    // frames in wbuf
-	spare      []byte // recycled batch buffer capacity
+	spare      []byte // the ping-pong's other buffer while wbuf holds one
 	leader     bool   // a writer is flushing
 	gen        uint64 // generation being accumulated
 	flushedGen uint64 // newest generation fully written
@@ -237,40 +319,42 @@ func encodeDeliverHeader(buf []byte, h *frameHeader) []byte {
 var errBadDeliverHeader = errors.New("transport: bad deliver header")
 
 // readHdrStr reads one uvarint-length-prefixed string from data,
-// returning the string, the remaining bytes, and ok. A plain function
-// (not a closure) so decodeDeliverHeader stays allocation-free and its
-// caller's frame can live on the stack.
-func readHdrStr(data []byte) (string, []byte, bool) {
+// returning the string (interned in names; a plain copy when names is
+// nil), the remaining bytes, and ok. A plain function (not a closure) so
+// decodeDeliverHeader stays allocation-free.
+func readHdrStr(data []byte, names *internTable) (string, []byte, bool) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 || uint64(len(data)-sz) < n {
 		return "", data, false
 	}
-	return string(data[sz : sz+int(n)]), data[sz+int(n):], true
+	return names.intern(data[sz : sz+int(n)]), data[sz+int(n):], true
 }
 
 // decodeDeliverHeader parses the binary deliver header. data is a
-// pooled buffer; every string is copied out by the string conversions.
-func decodeDeliverHeader(data []byte, h *frameHeader) error {
+// scratch buffer; every string is copied out of it. The six routing
+// strings go through names (nil: plain copies); per-message Headers and
+// Route are always plain copies.
+func decodeDeliverHeader(data []byte, h *frameHeader, names *internTable) error {
 	var ok bool
-	if h.From, data, ok = readHdrStr(data); !ok {
+	if h.From, data, ok = readHdrStr(data, names); !ok {
 		return errBadDeliverHeader
 	}
 	var s string
-	if s, data, ok = readHdrStr(data); !ok {
+	if s, data, ok = readHdrStr(data, names); !ok {
 		return errBadDeliverHeader
 	}
 	h.Dst.Translator = core.TranslatorID(s)
-	if h.Dst.Port, data, ok = readHdrStr(data); !ok {
+	if h.Dst.Port, data, ok = readHdrStr(data, names); !ok {
 		return errBadDeliverHeader
 	}
-	if s, data, ok = readHdrStr(data); !ok {
+	if s, data, ok = readHdrStr(data, names); !ok {
 		return errBadDeliverHeader
 	}
 	h.Src.Translator = core.TranslatorID(s)
-	if h.Src.Port, data, ok = readHdrStr(data); !ok {
+	if h.Src.Port, data, ok = readHdrStr(data, names); !ok {
 		return errBadDeliverHeader
 	}
-	if s, data, ok = readHdrStr(data); !ok {
+	if s, data, ok = readHdrStr(data, names); !ok {
 		return errBadDeliverHeader
 	}
 	h.MsgType = core.DataType(s)
@@ -297,10 +381,10 @@ func decodeDeliverHeader(data []byte, h *frameHeader) error {
 		h.Headers = make(map[string]string, count)
 		for i := uint64(0); i < count; i++ {
 			var k, v string
-			if k, data, ok = readHdrStr(data); !ok {
+			if k, data, ok = readHdrStr(data, nil); !ok {
 				return errBadDeliverHeader
 			}
-			if v, data, ok = readHdrStr(data); !ok {
+			if v, data, ok = readHdrStr(data, nil); !ok {
 				return errBadDeliverHeader
 			}
 			h.Headers[k] = v
@@ -318,7 +402,7 @@ func decodeDeliverHeader(data []byte, h *frameHeader) error {
 			h.Route = make([]string, 0, hops)
 			for i := uint64(0); i < hops; i++ {
 				var hop string
-				if hop, data, ok = readHdrStr(data); !ok {
+				if hop, data, ok = readHdrStr(data, nil); !ok {
 					return errBadDeliverHeader
 				}
 				h.Route = append(h.Route, hop)
@@ -347,7 +431,7 @@ func decodeDeliverHeader(data []byte, h *frameHeader) error {
 // appendFrameEncoded appends one encoded frame — [4B header len word]
 // [header][4B payload len][payload] — to buf. On error buf is returned
 // unmodified.
-func appendFrameEncoded(buf []byte, f frame) ([]byte, error) {
+func appendFrameEncoded(buf []byte, f *frame) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // header length word, patched below
 	var hdrLen int
@@ -377,13 +461,13 @@ func appendFrameEncoded(buf []byte, f frame) ([]byte, error) {
 // encodeFrame renders a frame to its wire form (used by tests and the
 // fuzz corpus; write() appends straight into the batch buffer instead).
 func encodeFrame(f frame) ([]byte, error) {
-	return appendFrameEncoded(nil, f)
+	return appendFrameEncoded(nil, &f)
 }
 
 // write sends one frame, coalescing with concurrent writers (see the
 // type comment). The returned error is the error of the conn.Write that
 // carried (or would have carried) this frame.
-func (fc *frameConn) write(f frame) error {
+func (fc *frameConn) write(f *frame) error {
 	fc.wmu.Lock()
 	// Backpressure: don't grow the pending batch without bound while a
 	// flush is in flight.
@@ -438,7 +522,16 @@ func (fc *frameConn) write(f frame) error {
 		if werr != nil {
 			fc.werr = werr
 		}
-		if fc.spare == nil || cap(buf) > cap(fc.spare) {
+		// Keep both buffers of the ping-pong: the batch accumulates in
+		// one while the other is flushed. Only two ever exist (a third
+		// would be made by an append with both wbuf and spare empty,
+		// which means at most this one is out), so a slot is free. With
+		// the spare as the only slot, a flush that ended with no
+		// follower waiting dropped its warmed buffer, and the next
+		// followers' batch regrew from nil.
+		if fc.wbuf == nil {
+			fc.wbuf = buf[:0]
+		} else {
 			fc.spare = buf[:0]
 		}
 		fc.wCond.Broadcast()
@@ -450,67 +543,77 @@ func (fc *frameConn) write(f frame) error {
 	return err
 }
 
-// read receives one frame. The frame's payload is a pooled buffer; the
-// caller owns it until frame.release().
-func (fc *frameConn) read() (frame, error) {
-	return readFrameFrom(fc.r, fc.met)
+// read receives one frame into f. The frame's payload is a pooled
+// buffer; the caller owns it until frame.release(). One goroutine per
+// connection may call read: it uses the connection's scratch and intern
+// table.
+func (fc *frameConn) read(f *frame) error {
+	return readFrame(fc.r, fc.met, &fc.rs, f)
 }
 
-// readFrameFrom decodes one frame from r. Header and payload lengths
-// are validated against the same combined maxFrameSize bound the writer
-// enforces — checking them only individually would accept frames up to
-// twice the writable maximum.
+// readFrameFrom decodes one frame from r with no connection state:
+// every header string is a plain copy (tests and fuzzing).
 func readFrameFrom(r io.Reader, met *connMetrics) (frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	var f frame
+	if err := readFrame(r, met, nil, &f); err != nil {
 		return frame{}, err
 	}
-	hdrWord := binary.BigEndian.Uint32(lenBuf[:])
+	return f, nil
+}
+
+// readFrame decodes one frame from r into f; on error f holds no
+// buffer and its fields are unspecified. st is the connection's decode
+// state, nil for a one-off decode that interns nothing. Header and
+// payload lengths are validated against the same combined maxFrameSize
+// bound the writer enforces — checking them only individually would
+// accept frames up to twice the writable maximum.
+func readFrame(r io.Reader, met *connMetrics, st *readState, f *frame) error {
+	*f = frame{}
+	var names *internTable
+	if st != nil {
+		names = &st.names
+	} else {
+		st = new(readState)
+	}
+	lenBuf := st.lenBuf[:]
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
+		return err
+	}
+	hdrWord := binary.BigEndian.Uint32(lenBuf)
 	binaryHdr := hdrWord&deliverHdrFlag != 0
 	hdrLen := hdrWord &^ uint32(deliverHdrFlag)
 	if hdrLen > maxFrameSize {
-		return frame{}, fmt.Errorf("transport: oversized header (%d bytes)", hdrLen)
+		return fmt.Errorf("transport: oversized header (%d bytes)", hdrLen)
 	}
-	hdr := getBuf(int(hdrLen), met)
+	hdr := st.hdrBuf(int(hdrLen))
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		putBuf(hdr)
-		return frame{}, err
+		return err
 	}
-	var f frame
 	var err error
 	if binaryHdr {
-		err = decodeDeliverHeader(hdr, &f.header)
-	} else {
-		// Decode into a separate variable: passing &f.header to
-		// json.Unmarshal (an interface) would force every frame — binary
-		// path included — onto the heap.
-		var jh frameHeader
-		if err = json.Unmarshal(hdr, &jh); err != nil {
-			err = fmt.Errorf("transport: bad frame header: %w", err)
-		} else {
-			f.header = jh
-		}
+		err = decodeDeliverHeader(hdr, &f.header, names)
+	} else if err = json.Unmarshal(hdr, &f.header); err != nil {
+		err = fmt.Errorf("transport: bad frame header: %w", err)
 	}
-	putBuf(hdr)
 	if err != nil {
-		return frame{}, err
+		return err
 	}
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return frame{}, err
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
+		return err
 	}
-	payloadLen := binary.BigEndian.Uint32(lenBuf[:])
+	payloadLen := binary.BigEndian.Uint32(lenBuf)
 	if uint64(hdrLen)+uint64(payloadLen) > maxFrameSize {
-		return frame{}, fmt.Errorf("transport: oversized frame (%d byte header + %d byte payload)", hdrLen, payloadLen)
+		return fmt.Errorf("transport: oversized frame (%d byte header + %d byte payload)", hdrLen, payloadLen)
 	}
 	if payloadLen > 0 {
 		f.payload = getBuf(int(payloadLen), met)
 		f.pooled = true
 		if _, err := io.ReadFull(r, f.payload); err != nil {
 			f.release()
-			return frame{}, err
+			return err
 		}
 	}
-	return f, nil
+	return nil
 }
 
 func (fc *frameConn) close() error { return fc.conn.Close() }
@@ -534,8 +637,8 @@ func deliverFrame(from string, dst core.PortRef, msg core.Message) frame {
 
 // message reconstructs a core.Message from a deliver frame, copying the
 // payload out of the frame's (pooled) buffer so the Message is safe to
-// retain indefinitely. This is the default delivery path.
-func (f frame) message() core.Message {
+// retain indefinitely (OwnershipCopy).
+func (f *frame) message() core.Message {
 	msg := f.messageZeroCopy()
 	if len(f.payload) > 0 {
 		msg.Payload = append(make([]byte, 0, len(f.payload)), f.payload...)
@@ -546,9 +649,8 @@ func (f frame) message() core.Message {
 // messageZeroCopy reconstructs a core.Message whose Payload aliases the
 // frame's buffer. The caller must guarantee the Message (and anything
 // built from its Payload) is not used after frame.release() — see
-// Options.ZeroCopyDeliver for the contract delivered translators must
-// meet.
-func (f frame) messageZeroCopy() core.Message {
+// Ownership for the contract delivered translators must meet.
+func (f *frame) messageZeroCopy() core.Message {
 	return core.Message{
 		Type:    f.header.MsgType,
 		Payload: f.payload,

@@ -3,8 +3,12 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -47,11 +51,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	msg.Seq = 42
 	msg.Source = core.PortRef{Translator: "n/x/1", Port: "out"}
 	f := deliverFrame("node-a", core.PortRef{Translator: "n/x/2", Port: "in"}, msg)
-	if err := a.write(f); err != nil {
+	if err := a.write(&f); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := b.read()
-	if err != nil {
+	var got frame
+	if err := b.read(&got); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if got.header.Type != frameDeliver || got.header.From != "node-a" {
@@ -66,11 +70,11 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	a, b := connPair(t)
-	if err := a.write(frame{header: frameHeader{Type: frameHello, From: "x"}}); err != nil {
+	if err := a.write(&frame{header: frameHeader{Type: frameHello, From: "x"}}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := b.read()
-	if err != nil {
+	var got frame
+	if err := b.read(&got); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if got.header.Type != frameHello || got.payload != nil {
@@ -80,7 +84,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 
 func TestFrameRejectsOversize(t *testing.T) {
 	a, _ := connPair(t)
-	big := frame{
+	big := &frame{
 		header:  frameHeader{Type: frameDeliver},
 		payload: make([]byte, maxFrameSize+1),
 	}
@@ -99,15 +103,15 @@ func TestFrameSequenceProperty(t *testing.T) {
 		}
 		go func() {
 			for i, p := range payloads {
-				a.write(frame{ //nolint:errcheck
+				a.write(&frame{ //nolint:errcheck
 					header:  frameHeader{Type: frameDeliver, Seq: uint64(i)},
 					payload: p,
 				})
 			}
 		}()
 		for i, want := range payloads {
-			got, err := b.read()
-			if err != nil {
+			var got frame
+			if err := b.read(&got); err != nil {
 				return false
 			}
 			if got.header.Seq != uint64(i) {
@@ -258,5 +262,210 @@ func TestRemoteConnectCarriesQoSClass(t *testing.T) {
 			t.Fatalf("LatestOnly class not applied remotely: %+v", stats)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// gatedConn is a net.Conn whose Write parks until the test admits it —
+// a peer that stopped reading — and then returns the admitted result.
+// Only Write is implemented; the write side of a frameConn calls
+// nothing else.
+type gatedConn struct {
+	net.Conn
+	entered chan int   // each Write announces its length here, then parks
+	admit   chan error // the result the parked Write returns
+}
+
+func newGatedConn() *gatedConn {
+	return &gatedConn{entered: make(chan int), admit: make(chan error)}
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.entered <- len(p)
+	if err := <-c.admit; err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// discardConn accepts every write at once.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// startWriters starts n goroutines writing f to fc, returning after all
+// of their frames are in the pending batch, with the channel each
+// writer's result arrives on.
+func startWriters(t *testing.T, fc *frameConn, f *frame, n int) <-chan error {
+	t.Helper()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- fc.write(f) }()
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		fc.wmu.Lock()
+		defer fc.wmu.Unlock()
+		return fc.wframes == n
+	})
+	return errs
+}
+
+// TestWriteGroupCommitErrorFidelity: with the reader stalled, one
+// leader flushes while three followers coalesce into the next batch.
+// The followers take the result of the write that carried their frames
+// — not the earlier write's success — and the error sticks to the
+// connection afterwards.
+func TestWriteGroupCommitErrorFidelity(t *testing.T) {
+	gc := newGatedConn()
+	fc := newFrameConn(gc)
+	f := deliverFrame("a", core.PortRef{Translator: "b/umiddle/tv", Port: "in"},
+		core.Message{Type: "text/plain", Payload: []byte("hello"), Seq: 1})
+	wire, err := encodeFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	leader := make(chan error, 1)
+	go func() { leader <- fc.write(&f) }()
+	if n := <-gc.entered; n != len(wire) {
+		t.Fatalf("leader flushed %d bytes, want one frame (%d)", n, len(wire))
+	}
+	followers := startWriters(t, fc, &f, 3)
+
+	gc.admit <- nil // the leader's own frame is through
+	if n := <-gc.entered; n != 3*len(wire) {
+		t.Fatalf("second flush carried %d bytes, want three frames (%d)", n, 3*len(wire))
+	}
+	select {
+	case err := <-followers:
+		t.Fatalf("a follower returned (%v) before the write carrying its frame finished", err)
+	default:
+	}
+	boom := errors.New("boom")
+	gc.admit <- boom
+	for i := 0; i < 3; i++ {
+		if err := <-followers; !errors.Is(err, boom) {
+			t.Fatalf("follower %d: err = %v, want the failed write's error", i, err)
+		}
+	}
+	<-leader
+	// Sticky: the stream may hold a partial frame, so nothing more is
+	// written (a Write would park on the gate and hang the test).
+	if err := fc.write(&f); !errors.Is(err, boom) {
+		t.Fatalf("write after failure: err = %v, want sticky %v", err, boom)
+	}
+}
+
+// TestWriteBatchBuffersReused: the write ping-pong keeps both of its
+// buffers. A solo writer allocates nothing per frame, and a
+// leader-plus-follower round ends holding the same two backing arrays
+// the round before it used.
+func TestWriteBatchBuffersReused(t *testing.T) {
+	f := deliverFrame("a", core.PortRef{Translator: "b/umiddle/tv", Port: "in"},
+		core.Message{Type: "application/octet-stream", Payload: make([]byte, 64<<10), Seq: 1})
+
+	solo := newFrameConn(discardConn{})
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := solo.write(&f); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("solo writer: %.1f allocations per frame, want 0", avg)
+	}
+
+	gc := newGatedConn()
+	fc := newFrameConn(gc)
+	round := func() [2]*byte {
+		leader := make(chan error, 1)
+		go func() { leader <- fc.write(&f) }()
+		<-gc.entered
+		follower := startWriters(t, fc, &f, 1)
+		gc.admit <- nil
+		<-gc.entered
+		gc.admit <- nil
+		if err := <-leader; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-follower; err != nil {
+			t.Fatal(err)
+		}
+		fc.wmu.Lock()
+		defer fc.wmu.Unlock()
+		var arrays [2]*byte
+		for i, b := range [2][]byte{fc.wbuf, fc.spare} {
+			if cap(b) == 0 {
+				t.Fatal("a batch buffer was dropped after a two-buffer round")
+			}
+			arrays[i] = &b[:1][0]
+		}
+		return arrays
+	}
+	first := round()
+	for i := 0; i < 3; i++ {
+		got := round()
+		if got != first && got != [2]*byte{first[1], first[0]} {
+			t.Fatalf("round %d ended with different batch buffers than the first round", i+2)
+		}
+	}
+}
+
+// TestInternTableBounded: a peer cycling through 10 000 translator
+// names gets every frame decoded field-exact while the connection's
+// intern table stays within its constants.
+func TestInternTableBounded(t *testing.T) {
+	const frames = 10_000
+	long := strings.Repeat("x", internMaxString+1)
+	var wire []byte
+	want := make([]frameHeader, frames)
+	for i := range want {
+		f := deliverFrame("node-a",
+			core.PortRef{Translator: core.TranslatorID(fmt.Sprintf("node-b/umiddle/sink-%d", i)), Port: "in"},
+			core.Message{
+				Type:    "text/plain",
+				Source:  core.PortRef{Translator: core.TranslatorID(fmt.Sprintf("node-a/umiddle/src-%d", i)), Port: "out"},
+				Seq:     uint64(i + 1),
+				Headers: map[string]string{"k": strconv.Itoa(i)},
+			})
+		if i%1000 == 0 {
+			f.header.Dst.Port = long // too long to be worth keeping
+		}
+		want[i] = f.header
+		var err error
+		if wire, err = appendFrameEncoded(wire, &f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := bytes.NewReader(wire)
+	var st readState
+	for i := range want {
+		var got frame
+		if err := readFrame(r, nil, &st, &got); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got.header, want[i]) {
+			t.Fatalf("frame %d decoded\n %+v\nwant\n %+v", i, got.header, want[i])
+		}
+		if n := len(st.names.m); n > internMaxEntries {
+			t.Fatalf("frame %d: intern table holds %d entries, bound %d", i, n, internMaxEntries)
+		}
+		if st.names.bytes > internMaxBytes {
+			t.Fatalf("frame %d: intern table holds %d bytes, bound %d", i, st.names.bytes, internMaxBytes)
+		}
+	}
+	sum := 0
+	for k, v := range st.names.m {
+		if k != v || len(k) > internMaxString {
+			t.Fatalf("intern table entry %q -> %q", k, v)
+		}
+		sum += len(k)
+	}
+	if sum != st.names.bytes {
+		t.Fatalf("intern table accounts %d bytes, holds %d", st.names.bytes, sum)
+	}
+	if _, ok := st.names.m["node-a"]; !ok {
+		t.Fatal("the name on every frame is not interned")
+	}
+	if cap(st.hdr) > hdrScratchMax {
+		t.Fatalf("header scratch grew to %d bytes, bound %d", cap(st.hdr), hdrScratchMax)
 	}
 }

@@ -3,7 +3,9 @@
 # concurrency-heavy packages (transport redial cycles, directory
 # announce loops, netemu fault injection, obs registry, the mapper
 # supervisor) plus the integration soak and crash/restart chaos cycle,
-# a 5-second fuzz smoke per wire-codec target, a one-iteration
+# the repo benchmark's own tests (a module of its own under benchmark/),
+# a repeat of the two tier-1 tests that used to flake, a 5-second fuzz
+# smoke per wire-codec target, a one-iteration
 # benchharness smoke run with -json output, and a bench-regression gate
 # against the committed BENCH_*.json baselines.
 #
@@ -20,7 +22,16 @@ fi
 
 go build ./...
 go vet ./...
+# Non-race pass. It includes the deliver path's allocation budget
+# (TestDeliverPathAllocationBudget, built only without -race: the
+# detector's instrumentation allocates).
 go test ./...
+# The repo benchmark is a module of its own, so ./... above misses it.
+go test -C benchmark ./...
+# Two tier-1 tests that flaked with known causes (a missing directory
+# wait; two timing loops a load spike could hit unevenly): five more
+# runs each so a regression of either fix shows.
+go test -count=5 -run 'TestFigure5CameraToTVAcrossNodes|TestRunSec52UPnPSmoke' ./internal/integration ./internal/bench
 go test -race ./internal/core/ ./internal/obs/ ./internal/transport/ ./internal/directory/ ./internal/netemu/ ./internal/runtime/ ./internal/qos/ ./internal/load/ ./internal/wal/
 go test -race $short_flag -run 'TestSoakChurnAndFaults' ./internal/integration/
 go test -race $short_flag -run 'TestCrashRestartChaosAllMappers' ./internal/integration/
