@@ -18,13 +18,18 @@ type matchEntry struct {
 	ok bool
 }
 
-// MatchCache memoizes Query.Matches so dynamic binding and directory
-// lookups over N translators stop re-evaluating every (query, shape)
-// pair on every event. Entries are keyed by (Query.CacheKey,
-// Profile.ID) and carry the profile's Fingerprint: a re-announce that
-// changes the profile in any query-visible way misses and re-evaluates,
-// so the cache can never serve a stale verdict — Invalidate is a memory
-// hygiene hook for departed translators, not a correctness requirement.
+// MatchCache memoizes Query.Matches. No production path uses it any
+// more: a hit, which builds a CacheKey string and a profile Fingerprint,
+// costs several times the uncached Matches call, so dynamic binding and
+// directory lookups match directly. Only the repo benchmark's
+// core.matchcache_hit_ns probe compiles against it; deleting the type
+// waits for the benchmark change that retires that probe.
+//
+// Entries are keyed by (Query.CacheKey, Profile.ID) and carry the
+// profile's Fingerprint: a re-announce that changes the profile in any
+// query-visible way misses and re-evaluates, so the cache can never
+// serve a stale verdict — Invalidate is a memory hygiene hook for
+// departed translators, not a correctness requirement.
 //
 // All methods are safe for concurrent use, and safe on a nil receiver
 // (they fall through to the uncached evaluation).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -92,6 +93,10 @@ func (s Shape) Ports() []Port {
 	copy(out, s.ports)
 	return out
 }
+
+// Equal reports whether two shapes hold the same ports in the same
+// order, without copying either.
+func (s Shape) Equal(o Shape) bool { return slices.Equal(s.ports, o.ports) }
 
 // Len returns the number of ports.
 func (s Shape) Len() int { return len(s.ports) }

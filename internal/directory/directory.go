@@ -404,22 +404,24 @@ type Directory struct {
 	// under it with closed already set, so any concurrent send that
 	// re-checks closed under sendMu can no longer emit after the bye.
 	sendMu sync.Mutex
-	// cache memoizes Query.Matches across Lookup calls; profile
-	// fingerprints keep it correct across re-announces, and departures
-	// invalidate eagerly for memory hygiene.
-	cache *core.MatchCache
-
-	// gen counts population mutations; snap caches the last built
-	// read-path snapshot (see index.go). rebuildMu serializes rebuilds.
+	// gen counts population mutations (bumped under mu); snap holds the
+	// last published read-path view (see index.go). rebuildMu serializes
+	// publishes and guards base, the indexed base they overlay.
 	gen       atomic.Uint64
-	snap      atomic.Pointer[snapshot]
+	snap      atomic.Pointer[view]
 	rebuildMu sync.Mutex
+	base      *snapshot
 
-	mu           sync.RWMutex
-	local        map[core.TranslatorID]localEntry
-	remote       map[core.TranslatorID]remoteEntry
-	nodes        map[string]*nodeState
-	listeners    []Listener
+	mu        sync.RWMutex
+	local     map[core.TranslatorID]localEntry
+	remote    map[core.TranslatorID]remoteEntry
+	nodes     map[string]*nodeState
+	listeners []Listener
+	// touched holds the IDs mutated since base was gathered. touchedAll
+	// (touched nil) means too many, or no base yet: the next publish
+	// rebuilds the base.
+	touched      map[core.TranslatorID]struct{}
+	touchedAll   bool
 	started      bool
 	closed       bool
 	deltaPending bool
@@ -566,7 +568,6 @@ func New(node string, host *netemu.Host, opts Options) *Directory {
 			bootstrapBytes: reg.Counter("umiddle_directory_bootstrap_bytes_total", nl),
 		},
 		trace:       reg.Trace(),
-		cache:       core.NewMatchCache(0),
 		local:       make(map[core.TranslatorID]localEntry),
 		remote:      make(map[core.TranslatorID]remoteEntry),
 		nodes:       make(map[string]*nodeState),
@@ -581,6 +582,7 @@ func New(node string, host *netemu.Host, opts Options) *Directory {
 		relaySeen:   make(map[string]*seenWindow),
 		routes:      make(map[string]*routeEntry),
 		zones:       make(map[string]string),
+		touchedAll:  true,
 	}
 	d.remap.Store(remap)
 	d.acl.Store(acl)
@@ -594,17 +596,6 @@ func New(node string, host *netemu.Host, opts Options) *Directory {
 		tl := obs.Labels{"node": node, "type": typ}
 		d.met.sent[typ] = reg.Counter("umiddle_directory_adverts_sent_total", tl)
 		d.met.sentBytes[typ] = reg.Counter("umiddle_directory_advert_bytes_total", tl)
-	}
-	reg.Describe("umiddle_directory_match_cache_hits_total", "Lookup query matches served from the memoization cache.")
-	reg.Describe("umiddle_directory_match_cache_misses_total", "Lookup query matches that had to be evaluated.")
-	cacheHits := reg.Counter("umiddle_directory_match_cache_hits_total", nl)
-	cacheMisses := reg.Counter("umiddle_directory_match_cache_misses_total", nl)
-	d.cache.Hook = func(hit bool) {
-		if hit {
-			cacheHits.Inc()
-		} else {
-			cacheMisses.Inc()
-		}
 	}
 	if opts.WAL != nil {
 		// Replay happens here, synchronously, before Start can spawn the
@@ -852,7 +843,7 @@ func (d *Directory) AddLocal(tr core.Translator) error {
 	d.localFP ^= fp
 	d.xorIfpsLocked(sealed, fp)
 	d.pendingAdds[sealed.ID] = struct{}{}
-	d.gen.Add(1)
+	d.touchLocked(sealed.ID)
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
 
@@ -889,13 +880,12 @@ func (d *Directory) RemoveLocal(id core.TranslatorID) (core.Translator, error) {
 	d.version++
 	d.localFP ^= entry.fp
 	d.xorIfpsLocked(entry.profile, entry.fp)
-	d.gen.Add(1)
+	d.touchLocked(id)
 	version, fp := d.version, d.localFP
 	ifps := d.ifpsLocked()
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
 
-	d.cache.Invalidate(id)
 	d.trace.Event("translator_unmapped", d.node, string(id))
 	d.notifyUnmapped(listeners, id)
 	if !unannounced {
@@ -1064,20 +1054,16 @@ func (d *Directory) Local(id core.TranslatorID) (core.Translator, bool) {
 // paper's Figure 6-(1) API. Both local and remote translators are
 // returned, sorted by (Node, ID) so dynamic binding and tests see a
 // deterministic order rather than Go map iteration order. Matching runs
-// against the inverted-index snapshot (see index.go) and repeated
-// queries over an unchanged population are answered from the snapshot's
-// result cache; the returned profiles are cloned, so callers own them.
+// against the published view (see index.go): repeated queries are
+// answered from the indexed base's result cache, merged with the few
+// entries changed since.
+//
+// The returned slice is the caller's, but the profiles in it are shared
+// with the directory's sealed state and must be treated as read-only,
+// as with Resolve: their Attributes maps and port slices are never to
+// be written. A caller that needs to mutate one must Clone it.
 func (d *Directory) Lookup(q core.Query) []core.Profile {
-	s := d.view()
-	idxs := s.lookup(q, d.cache, &d.met)
-	if len(idxs) == 0 {
-		return nil
-	}
-	out := make([]core.Profile, len(idxs))
-	for i, ix := range idxs {
-		out[i] = s.profiles[ix].Clone()
-	}
-	return out
+	return d.view().lookup(q, &d.met)
 }
 
 // Resolve returns the profile for a translator ID, local or remote. The
@@ -1086,9 +1072,8 @@ func (d *Directory) Lookup(q core.Query) []core.Profile {
 // dominated the transport's failover rebind loop; callers that need to
 // mutate must Clone).
 func (d *Directory) Resolve(id core.TranslatorID) (core.Profile, error) {
-	s := d.view()
-	if ix, ok := s.pos[id]; ok {
-		return s.profiles[ix], nil
+	if p, ok := d.view().resolve(id); ok {
+		return p, nil
 	}
 	return core.Profile{}, fmt.Errorf("%w: %q", ErrNotFound, id)
 }
@@ -1273,14 +1258,13 @@ func (d *Directory) applyInterestChange() {
 			}
 		}
 		if len(dropped) > 0 {
-			d.gen.Add(1)
+			d.touchLocked(dropped...)
 			listeners = append([]Listener(nil), d.listeners...)
 		}
 	}
 	enabled := d.opts.Interest && !d.closed
 	d.mu.Unlock()
 	for _, id := range dropped {
-		d.cache.Invalidate(id)
 		d.trace.Event("translator_unmapped", d.node, string(id))
 		d.notifyUnmapped(listeners, id)
 	}
@@ -1853,12 +1837,11 @@ func (d *Directory) reconcile(a advert) int {
 	}
 	var listeners []Listener
 	if len(dropped) > 0 {
-		d.gen.Add(1)
+		d.touchLocked(dropped...)
 		listeners = append([]Listener(nil), d.listeners...)
 	}
 	d.mu.Unlock()
 	for _, id := range dropped {
-		d.cache.Invalidate(id)
 		d.trace.Event("translator_unmapped", d.node, string(id))
 	}
 	d.notifyUnmappedBatch(listeners, dropped)
@@ -2013,7 +1996,7 @@ func sameProfile(a, b core.Profile) bool {
 		a.Platform == b.Platform &&
 		a.DeviceType == b.DeviceType &&
 		a.Node == b.Node &&
-		slices.Equal(a.Shape.Ports(), b.Shape.Ports()) &&
+		a.Shape.Equal(b.Shape) &&
 		maps.Equal(a.Attributes, b.Attributes)
 }
 
@@ -2030,19 +2013,23 @@ func (d *Directory) integrate(p core.Profile, zone string) (core.Profile, bool) 
 		// default zone, whoever carried the advert.
 		zone = p.Node
 	}
-	sealed := p.Clone()
 	// The anti-entropy digest is computed over the announced (wire)
 	// profile, before any local remapping, so it stays comparable with
 	// the sender's own digest.
-	fp := sealed.Fingerprint()
-	wireID := sealed.ID
-	sealed.ID = d.remap.Load().mapID(wireID)
+	fp := p.Fingerprint()
+	wireID := p.ID
+	p.ID = d.remap.Load().mapID(wireID)
 	d.mu.Lock()
-	prev, known := d.remote[sealed.ID]
+	prev, known := d.remote[p.ID]
 	// A re-announced profile with a changed shape (ports added or
 	// removed) must re-notify, or dynamic bindings never see device
-	// updates; only a byte-identical refresh is silent.
-	changed := known && !sameProfile(prev.profile, sealed)
+	// updates; only a byte-identical refresh is silent, and it keeps the
+	// stored sealed profile (no clone, no second copy pinned by a view).
+	changed := known && !sameProfile(prev.profile, p)
+	sealed := prev.profile
+	if !known || changed {
+		sealed = p.Clone()
+	}
 	d.remote[sealed.ID] = remoteEntry{profile: sealed, seen: time.Now(), fp: fp, wireID: wireID, zone: zone}
 	if known {
 		// The previous entry may even claim a different owning node;
@@ -2053,17 +2040,13 @@ func (d *Directory) integrate(p core.Profile, zone string) (core.Profile, bool) 
 	d.xorNodeFP(sealed.Node, fp)
 	d.ownerAdd(sealed.Node)
 	if !known || changed {
-		d.gen.Add(1)
+		d.touchLocked(sealed.ID)
 	}
 	d.mu.Unlock()
 	switch {
 	case !known:
 		d.trace.Event("translator_mapped", d.node, string(sealed.ID))
 	case changed:
-		// The fingerprint embedded in each cache entry already forces a
-		// re-evaluation against the new profile; dropping the stale
-		// entries just reclaims them immediately.
-		d.cache.Invalidate(sealed.ID)
 		d.trace.Event("translator_updated", d.node, string(sealed.ID))
 	}
 	return sealed, !known || changed
@@ -2076,14 +2059,13 @@ func (d *Directory) dropRemote(id core.TranslatorID) {
 		delete(d.remote, id)
 		d.xorNodeFP(e.profile.Node, e.fp)
 		d.ownerDrop(e.profile.Node)
-		d.gen.Add(1)
+		d.touchLocked(id)
 	}
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
 	if !known {
 		return
 	}
-	d.cache.Invalidate(id)
 	d.trace.Event("translator_unmapped", d.node, string(id))
 	d.notifyUnmapped(listeners, id)
 }
@@ -2115,7 +2097,7 @@ func (d *Directory) touchNode(node string, leaseMillis int64) {
 	}
 	d.nodes[node] = &nodeState{lastSeen: time.Now(), lease: lease}
 	d.met.liveNodes.Set(int64(len(d.nodes)))
-	d.gen.Add(1)
+	d.touchLocked()
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
 	d.trace.Event("node_up", d.node, node)
@@ -2165,7 +2147,7 @@ func (d *Directory) dropNode(node string, entryTrace string) int {
 	delete(d.zones, node)
 	delete(d.relaySeen, node)
 	if wasLive || len(dropped) > 0 {
-		d.gen.Add(1)
+		d.touchLocked(dropped...)
 	}
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
@@ -2177,7 +2159,6 @@ func (d *Directory) dropNode(node string, entryTrace string) int {
 	// longer returns any of the dead node's profiles, so failover queries
 	// triggered by either notification only see live candidates.
 	for _, id := range dropped {
-		d.cache.Invalidate(id)
 		d.trace.Event(entryTrace, d.node, string(id))
 	}
 	d.notifyUnmappedBatch(listeners, dropped)
@@ -2277,13 +2258,12 @@ func (d *Directory) expireStale() {
 		}
 	}
 	if len(dropped) > 0 {
-		d.gen.Add(1)
+		d.touchLocked(dropped...)
 	}
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
 	for _, id := range dropped {
 		d.opts.Logger.Info("directory: expired", "id", id)
-		d.cache.Invalidate(id)
 		d.met.expired.Inc()
 		d.trace.Event("expiry", d.node, string(id))
 	}

@@ -1,7 +1,8 @@
 package directory
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -9,27 +10,31 @@ import (
 	"repro/internal/core"
 )
 
-// This file implements the directory's read path at scale: an immutable
-// copy-on-write snapshot of the whole population (local + remote) with
-// an inverted index over the fields a Query can select on, plus a
-// per-snapshot memoized query-result cache.
+// This file implements the directory's read path at scale. A published
+// view is an immutable base — a sorted copy of the whole population
+// (local + remote) with an inverted index over the fields a Query can
+// select on and a memoized query-result cache — plus an overlay of the
+// entries touched since that base was built.
 //
 // Writers (advert integration, registration, expiry) mutate the
-// authoritative maps under Directory.mu and bump Directory.gen; readers
-// serve from the last built snapshot and rebuild lazily — once per
-// mutation burst, not per mutation — when the generation moved. A
-// binding storm after a node crash therefore contends on nothing: the
-// crash bumps the generation once, the first Lookup rebuilds, and every
-// subsequent Lookup in the storm is a lock-free pointer load plus a
-// result-cache hit.
+// authoritative maps under Directory.mu and record the translator IDs
+// they touched (touchLocked). Readers serve from the last published view
+// and republish lazily, once per mutation burst, when the generation
+// moved. Republishing copies only the touched entries: the overlay is
+// their current sealed profiles, sorted, and the base is rebuilt only
+// once more than overlayLimit(n) distinct IDs were touched (or a writer
+// marked "all", like WAL replay). So one arrival costs the next Lookup
+// O(delta), not O(n), and the base's query cache survives it.
 //
-// The index is a candidate pre-filter, never a verdict: every candidate
-// is still verified with Query.Matches through the MatchCache, so
-// Lookup results are exactly those of a brute-force scan (property
-// tested in index_test.go).
+// A Lookup takes the base's cached result, skips IDs the overlay
+// shadows, and merges in the overlay profiles that satisfy
+// Query.Matches, preserving the (Node, ID) order. The index is a
+// candidate pre-filter, never a verdict: every candidate is verified
+// with Query.Matches, so Lookup results are exactly those of a
+// brute-force scan (property tested in index_test.go).
 
-// maxQueryCacheEntries bounds one snapshot's memoized query results.
-// Snapshots die on the next population change, so the bound only
+// maxQueryCacheEntries bounds one base's memoized query results. A base
+// lives until overlayLimit distinct IDs changed, so the bound only
 // matters for pathological many-distinct-query workloads.
 const maxQueryCacheEntries = 4096
 
@@ -49,15 +54,40 @@ type portKey struct {
 	major string
 }
 
-// snapshot is one immutable view of the population. profiles is sorted
-// by (Node, ID) and every posting list holds ascending indices into it,
-// so intersections and unions preserve Lookup's documented result
-// order for free.
+// overlayLimit is how many distinct touched IDs a view carries in its
+// overlay before the next publish rebuilds the base: past √n the
+// per-Lookup overlay scan costs more than an amortized O(n) rebuild.
+func overlayLimit(n int) int {
+	return max(64, int(math.Ceil(math.Sqrt(float64(n)))))
+}
+
+// byNodeID orders profiles as Lookup returns them.
+func byNodeID(a, b core.Profile) int {
+	if c := strings.Compare(a.Node, b.Node); c != 0 {
+		return c
+	}
+	return strings.Compare(string(a.ID), string(b.ID))
+}
+
+// view is one published read-path state: the base as of its build plus
+// the overlay of every ID touched since.
+type view struct {
+	gen  uint64
+	base *snapshot
+	// gone holds every ID touched since base was built, mapped to its
+	// index in over, or -1 when the ID is absent now.
+	gone  map[core.TranslatorID]int32
+	over  []core.Profile // current profiles of touched IDs, sorted by (Node, ID)
+	nodes []string       // live remote nodes, sorted
+}
+
+// snapshot is one immutable indexed base. profiles is sorted by (Node,
+// ID) and every posting list holds ascending indices into it, so
+// intersections and unions preserve Lookup's documented result order
+// for free.
 type snapshot struct {
-	gen      uint64
 	profiles []core.Profile
 	pos      map[core.TranslatorID]int32
-	nodes    []string // live remote nodes, sorted
 
 	byNode       map[string][]int32
 	byPlatform   map[string][]int32 // lowercased ASCII platform
@@ -90,12 +120,10 @@ func asciiLower(s string) (string, bool) {
 
 // buildSnapshot indexes the given population. profiles must already be
 // sorted by (Node, ID) and sealed (never mutated afterwards).
-func buildSnapshot(gen uint64, profiles []core.Profile, nodes []string) *snapshot {
+func buildSnapshot(profiles []core.Profile) *snapshot {
 	s := &snapshot{
-		gen:          gen,
 		profiles:     profiles,
 		pos:          make(map[core.TranslatorID]int32, len(profiles)),
-		nodes:        nodes,
 		byNode:       make(map[string][]int32),
 		byPlatform:   make(map[string][]int32),
 		byDeviceType: make(map[string][]int32),
@@ -122,7 +150,7 @@ func buildSnapshot(gen uint64, profiles []core.Profile, nodes []string) *snapsho
 		seenKD := make(map[kdKey]bool, 4)
 		seenPK := make(map[portKey]bool, 4)
 		seenOdd := make(map[kdKey]bool, 2)
-		for _, port := range p.Shape.Ports() {
+		for _, port := range p.ShapePorts {
 			kd := kdKey{port.Kind, port.Direction}
 			if !seenKD[kd] {
 				seenKD[kd] = true
@@ -180,7 +208,7 @@ func unionAll(lists [][]int32) []int32 {
 	for _, l := range lists {
 		out = append(out, l...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	w := 0
 	for i, v := range out {
 		if i == 0 || v != out[w-1] {
@@ -264,11 +292,11 @@ func (s *snapshot) candidates(q core.Query) (list []int32, all bool) {
 	return list, all
 }
 
-// lookup returns the (ascending, hence result-ordered) indices of
-// profiles matching the query, memoized per snapshot. Every candidate
-// is verified through the MatchCache, so the result set is exactly the
+// lookup returns the (ascending, hence result-ordered) indices of base
+// profiles matching the query, memoized per base. Every candidate is
+// verified with Query.Matches, so the result set is exactly the
 // brute-force scan's.
-func (s *snapshot) lookup(q core.Query, mc *core.MatchCache, met *dirMetrics) []int32 {
+func (s *snapshot) lookup(q core.Query, met *dirMetrics) []int32 {
 	key := q.CacheKey()
 	s.qmu.RLock()
 	cached, ok := s.qcache[key]
@@ -283,13 +311,13 @@ func (s *snapshot) lookup(q core.Query, mc *core.MatchCache, met *dirMetrics) []
 	var out []int32
 	if all {
 		for i := range s.profiles {
-			if mc.Matches(q, s.profiles[i]) {
+			if q.Matches(s.profiles[i]) {
 				out = append(out, int32(i))
 			}
 		}
 	} else {
 		for _, i := range cand {
-			if mc.Matches(q, s.profiles[i]) {
+			if q.Matches(s.profiles[i]) {
 				out = append(out, i)
 			}
 		}
@@ -302,46 +330,132 @@ func (s *snapshot) lookup(q core.Query, mc *core.MatchCache, met *dirMetrics) []
 	return out
 }
 
-// view returns the current snapshot, rebuilding it if the population
-// generation moved since the last build. Rebuilds are serialized and
+// lookup merges the base's cached result, minus the IDs the overlay
+// shadows, with the overlay profiles that match, in (Node, ID) order.
+// The profiles are the sealed ones, shared with every other reader.
+func (v *view) lookup(q core.Query, met *dirMetrics) []core.Profile {
+	base := v.base.lookup(q, met)
+	var buf [16]int32 // matching overlay indices; stays on the stack
+	over := buf[:0]
+	for i := range v.over {
+		if q.Matches(v.over[i]) {
+			over = append(over, int32(i))
+		}
+	}
+	if len(base)+len(over) == 0 {
+		return nil
+	}
+	out := make([]core.Profile, 0, len(base)+len(over))
+	for _, ix := range base {
+		p := &v.base.profiles[ix]
+		if _, shadowed := v.gone[p.ID]; shadowed {
+			continue
+		}
+		for len(over) > 0 && byNodeID(v.over[over[0]], *p) < 0 {
+			out = append(out, v.over[over[0]])
+			over = over[1:]
+		}
+		out = append(out, *p)
+	}
+	for _, i := range over {
+		out = append(out, v.over[i])
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// resolve returns the current profile of one translator.
+func (v *view) resolve(id core.TranslatorID) (core.Profile, bool) {
+	if ix, touched := v.gone[id]; touched {
+		if ix < 0 {
+			return core.Profile{}, false
+		}
+		return v.over[ix], true
+	}
+	if ix, ok := v.base.pos[id]; ok {
+		return v.base.profiles[ix], true
+	}
+	return core.Profile{}, false
+}
+
+// touchLocked records a population mutation of the given translator IDs
+// (none: only the live-node set changed). The touched set is bounded
+// here, not at read time: past overlayLimit it collapses to "all", so a
+// directory that never reads does not accumulate it. Caller holds d.mu.
+func (d *Directory) touchLocked(ids ...core.TranslatorID) {
+	d.gen.Add(1)
+	if d.touchedAll {
+		return
+	}
+	for _, id := range ids {
+		d.touched[id] = struct{}{}
+	}
+	if len(d.touched) > overlayLimit(len(d.local)+len(d.remote)) {
+		d.touched, d.touchedAll = nil, true
+	}
+}
+
+// view returns the current view, republishing it if the population
+// generation moved since the last publish. Publishes are serialized and
 // amortized across a mutation burst; steady-state readers pay two
-// atomic loads.
-func (d *Directory) view() *snapshot {
-	if s := d.snap.Load(); s != nil && s.gen == d.gen.Load() {
-		return s
+// atomic loads. A publish copies the touched entries under d.mu and
+// rebuilds the base (outside it) only when the overlay outgrew its limit.
+func (d *Directory) view() *view {
+	if v := d.snap.Load(); v != nil && v.gen == d.gen.Load() {
+		return v
 	}
 	d.rebuildMu.Lock()
 	defer d.rebuildMu.Unlock()
-	if s := d.snap.Load(); s != nil && s.gen == d.gen.Load() {
-		return s
+	if v := d.snap.Load(); v != nil && v.gen == d.gen.Load() {
+		return v
 	}
-	// Generation is read before the state: if a writer sneaks in between
-	// the two, the snapshot carries newer state under an older tag and
-	// the next read simply rebuilds again — never the reverse (a fresh
-	// tag on stale state).
-	gen := d.gen.Load()
-	d.mu.RLock()
-	profiles := make([]core.Profile, 0, len(d.local)+len(d.remote))
-	for _, e := range d.local {
-		profiles = append(profiles, e.profile)
-	}
-	for _, e := range d.remote {
-		profiles = append(profiles, e.profile)
-	}
-	nodes := make([]string, 0, len(d.nodes))
-	for n := range d.nodes {
-		nodes = append(nodes, n)
-	}
-	d.mu.RUnlock()
-	sort.Slice(profiles, func(i, j int) bool {
-		if profiles[i].Node != profiles[j].Node {
-			return profiles[i].Node < profiles[j].Node
+	// Every generation bump happens under d.mu, so gen, the touched set
+	// and the maps read here are one consistent state.
+	d.mu.Lock()
+	v := &view{gen: d.gen.Load(), base: d.base}
+	size := len(d.local) + len(d.remote)
+	var all []core.Profile
+	// touchedAll starts true, so the first publish builds the base.
+	rebuild := d.touchedAll
+	if rebuild {
+		all = make([]core.Profile, 0, size)
+		for _, e := range d.local {
+			all = append(all, e.profile)
 		}
-		return profiles[i].ID < profiles[j].ID
-	})
-	sort.Strings(nodes)
-	s := buildSnapshot(gen, profiles, nodes)
-	d.snap.Store(s)
-	d.met.indexSize.Set(int64(len(profiles)))
-	return s
+		for _, e := range d.remote {
+			all = append(all, e.profile)
+		}
+		d.touched, d.touchedAll = make(map[core.TranslatorID]struct{}), false
+	} else if len(d.touched) > 0 {
+		v.gone = make(map[core.TranslatorID]int32, len(d.touched))
+		for id := range d.touched {
+			v.gone[id] = -1
+			if e, ok := d.local[id]; ok {
+				v.over = append(v.over, e.profile)
+			}
+			if e, ok := d.remote[id]; ok {
+				v.over = append(v.over, e.profile)
+			}
+		}
+	}
+	v.nodes = make([]string, 0, len(d.nodes))
+	for n := range d.nodes {
+		v.nodes = append(v.nodes, n)
+	}
+	d.mu.Unlock()
+	if rebuild {
+		slices.SortFunc(all, byNodeID)
+		d.base = buildSnapshot(all)
+		v.base = d.base
+	}
+	slices.SortFunc(v.over, byNodeID)
+	for i := range v.over {
+		v.gone[v.over[i].ID] = int32(i)
+	}
+	slices.Sort(v.nodes)
+	d.snap.Store(v)
+	d.met.indexSize.Set(int64(size))
+	return v
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,17 +108,58 @@ func equivProfileFor(node string, slot, variant int) core.Profile {
 }
 
 // TestIndexedLookupEquivalenceProperty drives a directory through a
-// randomized add / remove / re-announce / sync / crash workload and
-// after every operation checks Lookup, Resolve, and Nodes against a
-// brute-force model. This is the tentpole's correctness property: the
-// inverted index plus result cache must be observationally identical to
-// the scan it replaced.
+// randomized add / remove / same-ID re-register / re-announce / sync /
+// crash workload and checks Lookup, Resolve, and Nodes against a
+// brute-force model: the indexed base, its result cache and the overlay
+// of entries changed since must be observationally identical to the
+// scan they replaced. Each seed runs three phases:
+//   - a read after every operation, mostly served from the overlay;
+//   - reads only every 30 to 170 operations over a wider ID space, so
+//     the touched set regularly outgrows the overlay and the next read
+//     rebuilds the base;
+//   - a warm restart from the WAL, whose replay marks every entry
+//     touched, followed by more per-operation reads.
 func TestIndexedLookupEquivalenceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := New("h1", nil, Options{})
-	defer d.Close()
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			st := runIndexEquivalence(t, seed)
+			t.Logf("overlay reads %d, base rebuilds %d", st.overlay, st.rebuilt)
+			if st.overlay == 0 || st.rebuilt == 0 {
+				t.Fatalf("reads served from an overlay: %d, base rebuilds: %d; want both", st.overlay, st.rebuilt)
+			}
+			// The workload must actually have exercised the result cache.
+			if st.hits == 0 {
+				t.Fatal("equivalence workload never hit the query-result cache")
+			}
+		})
+	}
+}
+
+// equivStats counts which read paths an equivalence run took.
+type equivStats struct {
+	overlay int    // reads whose view carried a non-empty overlay
+	rebuilt int    // reads that replaced an existing base
+	hits    uint64 // query-result cache hits
+}
+
+func runIndexEquivalence(t *testing.T, seed int64) equivStats {
+	rng := rand.New(rand.NewSource(seed))
+	net := netemu.NewNetwork(netemu.Unlimited())
+	defer net.Close()
+	l := openWAL(t, net, "h1")
+	d := New("h1", nil, Options{WAL: l})
+	defer func() {
+		d.Close()
+		l.Close()
+	}()
 	model := newIndexModel()
 	remoteNodes := []string{"h2", "h3", "h4"}
+	slots := 8 // remote slots per node
+	var st equivStats
+	var lastBase *snapshot
+	cacheHits := func() uint64 {
+		return d.Obs().Counter("umiddle_directory_query_cache_hits_total", obs.Labels{"node": "h1"}).Value()
+	}
 
 	// applyRemote routes one advert through both directory and model.
 	applyRemote := func(a advert) {
@@ -167,15 +209,15 @@ func TestIndexedLookupEquivalenceProperty(t *testing.T) {
 			got := d.Lookup(q)
 			want := model.lookup(q)
 			if len(got) != len(want) {
-				t.Fatalf("step %d query %d: got %d profiles, want %d", step, qi, len(got), len(want))
+				t.Fatalf("seed %d step %d query %d: got %d profiles, want %d", seed, step, qi, len(got), len(want))
 			}
 			for i := range got {
 				if got[i].ID != want[i].ID {
-					t.Fatalf("step %d query %d: result %d = %s, want %s (order or content diverged)",
-						step, qi, i, got[i].ID, want[i].ID)
+					t.Fatalf("seed %d step %d query %d: result %d = %s, want %s (order or content diverged)",
+						seed, step, qi, i, got[i].ID, want[i].ID)
 				}
 				if !equivProfile(got[i], want[i]) {
-					t.Fatalf("step %d query %d: profile %s content diverged", step, qi, got[i].ID)
+					t.Fatalf("seed %d step %d query %d: profile %s content diverged", seed, step, qi, got[i].ID)
 				}
 			}
 		}
@@ -183,43 +225,58 @@ func TestIndexedLookupEquivalenceProperty(t *testing.T) {
 		for id, want := range model.profiles {
 			got, err := d.Resolve(id)
 			if err != nil {
-				t.Fatalf("step %d: Resolve(%s): %v", step, id, err)
+				t.Fatalf("seed %d step %d: Resolve(%s): %v", seed, step, id, err)
 			}
 			if !equivProfile(got, want) {
-				t.Fatalf("step %d: Resolve(%s) content diverged", step, id)
+				t.Fatalf("seed %d step %d: Resolve(%s) content diverged", seed, step, id)
 			}
 			break // one per step keeps the test fast
 		}
 		if _, err := d.Resolve(core.MakeTranslatorID("h9", "umiddle", "ghost")); err == nil {
-			t.Fatalf("step %d: Resolve of unknown id succeeded", step)
+			t.Fatalf("seed %d step %d: Resolve of unknown id succeeded", seed, step)
 		}
 		gotNodes := d.Nodes()
 		wantNodes := model.nodeList()
 		if len(gotNodes) != len(wantNodes) {
-			t.Fatalf("step %d: Nodes() = %v, want %v", step, gotNodes, wantNodes)
+			t.Fatalf("seed %d step %d: Nodes() = %v, want %v", seed, step, gotNodes, wantNodes)
 		}
 		for i := range gotNodes {
 			if gotNodes[i] != wantNodes[i] {
-				t.Fatalf("step %d: Nodes() = %v, want %v", step, gotNodes, wantNodes)
+				t.Fatalf("seed %d step %d: Nodes() = %v, want %v", seed, step, gotNodes, wantNodes)
 			}
+		}
+		v := d.snap.Load()
+		switch {
+		case v.base != lastBase:
+			if lastBase != nil {
+				st.rebuilt++
+			}
+			lastBase = v.base
+		case len(v.gone) > 0:
+			st.overlay++
 		}
 	}
 
 	localSlot := 0
-	for step := 0; step < 500; step++ {
-		switch op := rng.Intn(10); op {
+	localID := func(slot int) core.TranslatorID {
+		return core.MakeTranslatorID("h1", "umiddle", fmt.Sprintf("dev-%d", slot))
+	}
+	// op applies one random operation; readEach adds a read between the
+	// halves of a same-ID re-registration.
+	op := func(step int, readEach bool) {
+		switch rng.Intn(11) {
 		case 0, 1: // register a local translator
 			p := equivProfileFor("h1", localSlot, rng.Intn(len(equivPortSets)))
 			localSlot++
 			if err := d.AddLocal(core.MustBase(p)); err != nil {
-				t.Fatalf("step %d: AddLocal: %v", step, err)
+				t.Fatalf("seed %d step %d: AddLocal: %v", seed, step, err)
 			}
 			model.profiles[p.ID] = p
 		case 2: // remove a random local translator
 			if localSlot == 0 {
-				continue
+				return
 			}
-			id := core.MakeTranslatorID("h1", "umiddle", fmt.Sprintf("dev-%d", rng.Intn(localSlot)))
+			id := localID(rng.Intn(localSlot))
 			if _, err := d.RemoveLocal(id); err == nil {
 				delete(model.profiles, id)
 			}
@@ -229,23 +286,23 @@ func TestIndexedLookupEquivalenceProperty(t *testing.T) {
 			n := 1 + rng.Intn(3)
 			profiles := make([]core.Profile, 0, n)
 			for i := 0; i < n; i++ {
-				profiles = append(profiles, equivProfileFor(node, rng.Intn(8), rng.Intn(len(equivPortSets))))
+				profiles = append(profiles, equivProfileFor(node, rng.Intn(slots), rng.Intn(len(equivPortSets))))
 			}
 			applyRemote(advert{Type: typ, Node: node, Profiles: profiles, Version: uint64(step), Fp: rng.Uint64()})
 		case 5: // re-announce with a changed shape under a stable ID
 			node := remoteNodes[rng.Intn(len(remoteNodes))]
-			p := equivProfileFor(node, rng.Intn(8), rng.Intn(len(equivPortSets)))
+			p := equivProfileFor(node, rng.Intn(slots), rng.Intn(len(equivPortSets)))
 			applyRemote(advert{Type: "announce", Node: node, Profiles: []core.Profile{p}})
 		case 6: // remote remove
 			node := remoteNodes[rng.Intn(len(remoteNodes))]
-			id := core.MakeTranslatorID(node, "umiddle", fmt.Sprintf("dev-%d", rng.Intn(8)))
+			id := core.MakeTranslatorID(node, "umiddle", fmt.Sprintf("dev-%d", rng.Intn(slots)))
 			applyRemote(advert{Type: "remove", Node: node, Removed: []core.TranslatorID{id}})
 		case 7: // full sync: reconcile drops whatever the advert omits
 			node := remoteNodes[rng.Intn(len(remoteNodes))]
 			n := rng.Intn(4)
 			profiles := make([]core.Profile, 0, n)
 			for i := 0; i < n; i++ {
-				profiles = append(profiles, equivProfileFor(node, rng.Intn(8), rng.Intn(len(equivPortSets))))
+				profiles = append(profiles, equivProfileFor(node, rng.Intn(slots), rng.Intn(len(equivPortSets))))
 			}
 			applyRemote(advert{Type: "sync", Node: node, Profiles: profiles, Version: uint64(step), Fp: rng.Uint64()})
 		case 8: // node crash (bye is the deterministic stand-in for lease lapse)
@@ -254,18 +311,61 @@ func TestIndexedLookupEquivalenceProperty(t *testing.T) {
 		case 9: // spoofed provenance: advert node differs from profile node
 			from := remoteNodes[rng.Intn(len(remoteNodes))]
 			owner := remoteNodes[rng.Intn(len(remoteNodes))]
-			p := equivProfileFor(owner, rng.Intn(8), rng.Intn(len(equivPortSets)))
+			p := equivProfileFor(owner, rng.Intn(slots), rng.Intn(len(equivPortSets)))
 			applyRemote(advert{Type: "announce", Node: from, Profiles: []core.Profile{p}})
+		case 10: // a device leaving and rejoining under the same ID
+			if localSlot == 0 {
+				return
+			}
+			slot := rng.Intn(localSlot)
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				if _, err := d.RemoveLocal(localID(slot)); err == nil {
+					delete(model.profiles, localID(slot))
+					if readEach {
+						check(step)
+					}
+				}
+				p := equivProfileFor("h1", slot, rng.Intn(len(equivPortSets)))
+				if err := d.AddLocal(core.MustBase(p)); err != nil {
+					t.Fatalf("seed %d step %d: re-AddLocal: %v", seed, step, err)
+				}
+				model.profiles[p.ID] = p
+			}
 		}
-		check(step)
 	}
 
-	// The workload must actually have exercised the result cache.
-	reg := d.Obs()
-	hits := reg.Counter("umiddle_directory_query_cache_hits_total", obs.Labels{"node": "h1"}).Value()
-	if hits == 0 {
-		t.Fatal("equivalence workload never hit the query-result cache")
+	step := 0
+	for ; step < 250; step++ {
+		op(step, true)
+		check(step)
 	}
+	// Sparse reads over a wider ID space: often enough, the burst
+	// between two reads touches more distinct IDs than an overlay holds.
+	slots = 40
+	for next := step + 30; step < 1250; step++ {
+		op(step, false)
+		if step == next {
+			check(step)
+			next = step + 30 + rng.Intn(141)
+		}
+	}
+	// Warm restart: the final snapshot plus replay must reproduce the
+	// model, and the replayed directory must keep tracking it.
+	st.hits += cacheHits()
+	if err := d.CloseForRestart(); err != nil {
+		t.Fatalf("seed %d: CloseForRestart: %v", seed, err)
+	}
+	l.Close()
+	l = openWAL(t, net, "h1")
+	d = New("h1", nil, Options{WAL: l})
+	lastBase = nil
+	for end := step + 100; step < end; step++ {
+		check(step)
+		op(step, true)
+	}
+	check(step)
+	st.hits += cacheHits()
+	return st
 }
 
 // TestRemoveLocalEvictsQueryCache: a cached query result must not
@@ -356,4 +456,90 @@ func TestNodeDownEvictsQueryCache(t *testing.T) {
 	if nodes := d1.Nodes(); len(nodes) != 0 {
 		t.Fatalf("Nodes() after crash = %v, want empty", nodes)
 	}
+}
+
+// TestConcurrentLookupSharesSealedProfiles: Lookup and Resolve hand out
+// the sealed profiles themselves, so nothing may write one in place
+// after it was published. Readers walk every result's attributes and
+// ports while writers churn registrations, re-announces with changed
+// shapes, removals and syncs; under -race any in-place mutation of a
+// shared profile is a data race.
+func TestConcurrentLookupSharesSealedProfiles(t *testing.T) {
+	d := New("h1", nil, Options{})
+	defer d.Close()
+	const rounds = 300
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+
+	writers.Add(2)
+	go func() { // a local device leaving and rejoining under one ID
+		defer writers.Done()
+		for i := 0; i < rounds; i++ {
+			p := equivProfileFor("h1", i%4, i)
+			if _, err := d.RemoveLocal(p.ID); err != nil && i >= 4 {
+				t.Errorf("RemoveLocal: %v", err)
+				return
+			}
+			if err := d.AddLocal(core.MustBase(p)); err != nil {
+				t.Errorf("AddLocal: %v", err)
+				return
+			}
+		}
+	}()
+	go func() { // remote churn: changed shapes, removals, syncs
+		defer writers.Done()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < rounds; i++ {
+			node := []string{"h2", "h3"}[i%2]
+			p := equivProfileFor(node, rng.Intn(6), rng.Intn(len(equivPortSets)))
+			switch rng.Intn(4) {
+			case 0, 1:
+				d.handleAdvert(advert{Type: "announce", Node: node, Profiles: []core.Profile{p}})
+			case 2:
+				d.handleAdvert(advert{Type: "remove", Node: node, Removed: []core.TranslatorID{p.ID}})
+			case 3:
+				d.handleAdvert(advert{Type: "sync", Node: node, Profiles: []core.Profile{p}})
+			}
+		}
+	}()
+
+	// walk reads every field a caller of the read-only contract may.
+	walk := func(p core.Profile) int {
+		n := len(p.Name) + len(p.Attr("room"))
+		for k, v := range p.Attributes {
+			n += len(k) + len(v)
+		}
+		for _, port := range p.ShapePorts {
+			n += len(port.Type)
+		}
+		return n + len(p.Shape.Ports())
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := equivQueries[i%len(equivQueries)]
+				for _, p := range d.Lookup(q) {
+					if !q.Matches(p) {
+						t.Errorf("Lookup(%v) returned non-matching %s", q, p.ID)
+						return
+					}
+					walk(p)
+					if rp, err := d.Resolve(p.ID); err == nil {
+						walk(rp)
+					}
+				}
+				d.Nodes()
+			}
+		}(r)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
 }

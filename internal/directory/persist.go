@@ -220,6 +220,9 @@ func (d *Directory) replayWAL() {
 	d.version = st.Version
 	d.replayed.Epoch = d.epoch
 	if d.replayed.Locals+d.replayed.Remotes+d.replayed.Nodes > 0 {
+		// Replay rewrote the population wholesale: no overlay can
+		// describe it, so the next read rebuilds the base.
+		d.touchedAll = true
 		d.gen.Add(1)
 		d.met.liveNodes.Set(int64(len(d.nodes)))
 		d.lastSnapGen = d.gen.Load()
@@ -402,13 +405,12 @@ func (d *Directory) dropUnclaimedWarm() {
 		d.mu.Unlock()
 		return
 	}
-	d.gen.Add(1)
+	d.touchLocked(dropped...)
 	version, fp := d.version, d.localFP
 	ifps := d.ifpsLocked()
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
 	for _, id := range dropped {
-		d.cache.Invalidate(id)
 		d.trace.Event("translator_unmapped", d.node, string(id))
 		d.opts.Logger.Info("directory: dropping unclaimed warm entry", "id", id)
 	}

@@ -3,6 +3,7 @@ package directory
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -57,6 +58,45 @@ func BenchmarkLookup10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Lookup(q)
+	}
+}
+
+// BenchmarkLookupAfterMutation10k is the repo benchmark's lookup_mixed
+// shape on one goroutine: a local add or remove, then 50 lookups drawn
+// from selective queries, against a 10k-translator population. The
+// reported cost is per lookup, the mutation's share of the republish
+// included.
+func BenchmarkLookupAfterMutation10k(b *testing.B) {
+	d := New("h1", nil, Options{CoalesceWindow: time.Hour})
+	defer d.Close()
+	populate(b, d, 100, 9900)
+	room := func(i int) map[string]string { return map[string]string{"room": fmt.Sprintf("room-%d", i)} }
+	queries := []core.Query{
+		{DeviceType: "camera", Attributes: room(12)},
+		{Node: "peer-1", DeviceType: "tv", Attributes: room(7)},
+		{Ports: []core.PortTemplate{{Direction: core.Input, Kind: core.Digital, Type: "image/jpeg"}}, Attributes: room(2)},
+		{NameContains: "dev-99"},
+		{Node: "peer-2", Attributes: room(40)},
+		{Ports: []core.PortTemplate{{Direction: core.Output, Kind: core.Physical}}, Attributes: room(20)},
+	}
+	local := core.MustBase(benchProfile("h1", 20000))
+	present := false
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%50 == 0 {
+			var err error
+			if present {
+				_, err = d.RemoveLocal(local.ID())
+			} else {
+				err = d.AddLocal(local)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			present = !present
+		}
+		d.Lookup(queries[i%len(queries)])
 	}
 }
 

@@ -319,6 +319,8 @@ func (r *Runtime) AddMapperFunc(platform string, factory func() (mapper.Mapper, 
 }
 
 // Lookup is a convenience passthrough to the directory (paper Figure 6).
+// The returned profiles are shared with the directory and read-only:
+// Clone one before mutating it (see directory.Directory.Lookup).
 func (r *Runtime) Lookup(q core.Query) []core.Profile { return r.dir.Lookup(q) }
 
 // Connect is a convenience passthrough to the transport module (paper

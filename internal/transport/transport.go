@@ -388,8 +388,6 @@ type Module struct {
 
 	// dispatch fans inbound deliveries out per destination port.
 	dispatch *dispatcher
-	// matchCache memoizes Query.Matches for dynamic-path rebinding.
-	matchCache *core.MatchCache
 	// quar is the tracked-ownership quarantine ring (nil unless
 	// DeliverOwnership is OwnershipTracked).
 	quar       *quarantine
@@ -488,8 +486,6 @@ func New(node string, host *netemu.Host, dir *directory.Directory, opts Options)
 	reg.Describe("umiddle_transport_frame_pool_gets_total", "Pooled frame-buffer requests (hit rate = 1 - misses/gets).")
 	reg.Describe("umiddle_transport_frame_pool_misses_total", "Pooled frame-buffer requests that fell through to a fresh allocation.")
 	reg.Describe("umiddle_transport_write_batch_frames", "Deliver frames coalesced into each connection write.")
-	reg.Describe("umiddle_transport_match_cache_hits_total", "Dynamic-binding query matches served from the memoization cache.")
-	reg.Describe("umiddle_transport_match_cache_misses_total", "Dynamic-binding query matches that had to be evaluated.")
 	reg.Describe("umiddle_transport_frames_relayed_total", "Deliver frames forwarded toward their next hop on behalf of other nodes.")
 	reg.Describe("umiddle_transport_relay_bytes_total", "Payload bytes of forwarded deliver frames.")
 	reg.Describe("umiddle_transport_relay_dup_dropped_total", "Relayed deliver frames dropped as duplicates of an already-forwarded (origin, id).")
@@ -524,16 +520,6 @@ func New(node string, host *netemu.Host, dir *directory.Directory, opts Options)
 		m.sharedPathMet = &met
 	}
 	m.dispatch = newDispatcher(m, m.opts.DeliverWorkers)
-	m.matchCache = core.NewMatchCache(0)
-	cacheHits := reg.Counter("umiddle_transport_match_cache_hits_total", labels)
-	cacheMisses := reg.Counter("umiddle_transport_match_cache_misses_total", labels)
-	m.matchCache.Hook = func(hit bool) {
-		if hit {
-			cacheHits.Inc()
-		} else {
-			cacheMisses.Inc()
-		}
-	}
 	return m
 }
 
@@ -1782,9 +1768,7 @@ func (m *Module) onMapped(p core.Profile) {
 	}
 	m.mu.Unlock()
 	for _, pt := range dynamic {
-		// Memoized: a re-announce with an unchanged profile costs one
-		// cache probe per dynamic path instead of O(ports) matching.
-		if m.matchCache.Matches(*pt.query, p) {
+		if pt.query.Matches(p) {
 			pt.tryBind(p, pt.srcType)
 			m.noteRebound(pt)
 		}
@@ -1824,7 +1808,7 @@ func (m *Module) onMappedBatch(ps []core.Profile) {
 	m.mu.Unlock()
 	for _, pt := range dynamic {
 		for i := range ps {
-			if m.matchCache.Matches(*pt.query, ps[i]) {
+			if pt.query.Matches(ps[i]) {
 				pt.tryBind(ps[i], pt.srcType)
 				m.noteRebound(pt)
 			}
@@ -1847,7 +1831,6 @@ func (m *Module) onMappedBatch(ps []core.Profile) {
 // static paths aimed at it degrade and fail fast, and dynamic paths bound
 // to it fail over by re-running their query.
 func (m *Module) onUnmapped(id core.TranslatorID) {
-	m.matchCache.Invalidate(id)
 	m.mu.Lock()
 	var srcDead, dynamic, static []*path
 	for _, pt := range m.paths {
@@ -1880,14 +1863,13 @@ func (m *Module) onUnmapped(id core.TranslatorID) {
 }
 
 // onUnmappedBatch is onUnmapped over one advert's worth of departures
-// with a single path-table scan and one cache sweep.
+// with a single path-table scan.
 func (m *Module) onUnmappedBatch(ids []core.TranslatorID) {
 	if len(ids) == 0 {
 		return
 	}
 	gone := make(map[core.TranslatorID]bool, len(ids))
 	for _, id := range ids {
-		m.matchCache.Invalidate(id)
 		gone[id] = true
 	}
 	m.mu.Lock()

@@ -33,6 +33,9 @@ go test -C benchmark ./...
 # runs each so a regression of either fix shows.
 go test -count=5 -run 'TestFigure5CameraToTVAcrossNodes|TestRunSec52UPnPSmoke' ./internal/integration ./internal/bench
 go test -race ./internal/core/ ./internal/obs/ ./internal/transport/ ./internal/directory/ ./internal/netemu/ ./internal/runtime/ ./internal/qos/ ./internal/load/ ./internal/wal/
+# Lookup and Resolve share sealed profiles with concurrent writers: more
+# race-detector passes over the read-path equivalence and sharing tests.
+go test -race -count=3 -run 'Equivalence|Concurrent' ./internal/directory
 go test -race $short_flag -run 'TestSoakChurnAndFaults' ./internal/integration/
 go test -race $short_flag -run 'TestCrashRestartChaosAllMappers' ./internal/integration/
 # Sharded-dispatch soak: exactly-once, in-order delivery across striped

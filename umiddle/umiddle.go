@@ -433,11 +433,13 @@ func (r *Runtime) Host() *netemu.Host { return r.host }
 func (r *Runtime) Internal() *runtime.Runtime { return r.rt }
 
 // Lookup returns profiles of translators matching the query — the
-// directory API of paper Figure 6-(1).
+// directory API of paper Figure 6-(1). The slice is the caller's, but
+// the profiles in it are shared with the directory and read-only: never
+// write their Attributes or ports; Clone a profile before mutating it.
 func (r *Runtime) Lookup(q Query) []Profile { return r.rt.Lookup(q) }
 
 // WaitFor polls Lookup until at least n profiles match or the timeout
-// expires; it returns the matches found.
+// expires; it returns the matches found, read-only as with Lookup.
 func (r *Runtime) WaitFor(q Query, n int, timeout time.Duration) ([]Profile, error) {
 	deadline := time.Now().Add(timeout)
 	for {
