@@ -145,11 +145,12 @@ func RegistryOf(imp Importer) *obs.Registry {
 	return nil
 }
 
-// ObserveMapped feeds one mapping sample into the registry's
+// observeMapped feeds one mapping sample into the registry's
 // discovery-to-mapped latency histogram, labeled by node and platform.
-// Mappers call this alongside Recorder.Record so the same measurement
-// backs both the Figure 10 benchmark and the /metrics endpoint.
-func ObserveMapped(reg *obs.Registry, node string, s Sample) {
+// The reconciler calls this alongside Recorder.Record so the same
+// measurement backs both the Figure 10 benchmark and the /metrics
+// endpoint.
+func observeMapped(reg *obs.Registry, node string, s Sample) {
 	reg.Histogram("umiddle_mapper_map_latency_seconds",
 		obs.Labels{"node": node, "platform": s.Platform}, nil).ObserveDuration(s.Duration)
 }

@@ -13,17 +13,30 @@ import (
 	"repro/internal/usdl"
 )
 
-// Importer is an in-memory mapper.Importer.
+// Importer is an in-memory mapper.Importer. It also implements
+// mapper.PanicReporter, recording every panic a mapper's Guard recovers.
 type Importer struct {
 	node string
 	reg  *usdl.Registry
 
+	// OnImport, when set, runs first in every ImportTranslator call: a
+	// non-nil error fails the import, and it may block or panic to model
+	// a slow or faulty runtime. Set it before the mapper starts.
+	OnImport func(core.Profile) error
+	// OnEmit, when set, runs before each emission is captured; it may
+	// panic. Set it before the mapper starts.
+	OnEmit func(Emission)
+
 	mu          sync.Mutex
 	translators map[core.TranslatorID]core.Translator
 	emissions   []Emission
+	panics      []string
 }
 
-var _ mapper.Importer = (*Importer)(nil)
+var (
+	_ mapper.Importer      = (*Importer)(nil)
+	_ mapper.PanicReporter = (*Importer)(nil)
+)
 
 // Emission is one message captured from any imported translator.
 type Emission struct {
@@ -33,10 +46,14 @@ type Emission struct {
 
 // New creates a fake importer for a node, using the built-in USDL
 // vocabulary.
-func New(node string) *Importer {
+func New(node string) *Importer { return NewWithUSDL(node, usdl.MustDefaultRegistry()) }
+
+// NewWithUSDL creates a fake importer that looks USDL documents up in
+// reg, which the test may fill in later.
+func NewWithUSDL(node string, reg *usdl.Registry) *Importer {
 	return &Importer{
 		node:        node,
-		reg:         usdl.MustDefaultRegistry(),
+		reg:         reg,
 		translators: make(map[core.TranslatorID]core.Translator),
 	}
 }
@@ -50,13 +67,22 @@ func (i *Importer) USDL() *usdl.Registry { return i.reg }
 // ImportTranslator implements mapper.Importer.
 func (i *Importer) ImportTranslator(tr core.Translator) error {
 	p := tr.Profile()
+	if i.OnImport != nil {
+		if err := i.OnImport(p); err != nil {
+			return err
+		}
+	}
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	tr.Bind(core.SinkFunc(func(src core.PortRef, msg core.Message) {
+		e := Emission{Src: src, Msg: msg.Clone()}
+		if i.OnEmit != nil {
+			i.OnEmit(e)
+		}
 		i.mu.Lock()
 		defer i.mu.Unlock()
-		i.emissions = append(i.emissions, Emission{Src: src, Msg: msg.Clone()})
+		i.emissions = append(i.emissions, e)
 	}))
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -79,6 +105,21 @@ func (i *Importer) RemoveTranslator(id core.TranslatorID) error {
 		return fmt.Errorf("mappertest: unknown translator %q", id)
 	}
 	return tr.Close()
+}
+
+// MapperPanicked implements mapper.PanicReporter.
+func (i *Importer) MapperPanicked(platform string, recovered any) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	i.panics = append(i.panics, fmt.Sprintf("%s: %v", platform, recovered))
+}
+
+// Panics returns the recovered panics reported so far, each as
+// "platform: value".
+func (i *Importer) Panics() []string {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return append([]string(nil), i.panics...)
 }
 
 // Count returns the number of currently imported translators.

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -52,32 +51,20 @@ func (o Options) withDefaults() Options {
 	if o.MissThreshold <= 0 {
 		o.MissThreshold = 3
 	}
-	if o.Logger == nil {
-		o.Logger = slog.New(slog.DiscardHandler)
-	}
 	return o
-}
-
-// mappedService is one imported (device, record) pair.
-type mappedService struct {
-	id         core.TranslatorID
-	translator *usdl.GenericTranslator
-	cleanup    func()
 }
 
 // Mapper is the Bluetooth platform mapper.
 type Mapper struct {
 	adapter *bluetooth.Adapter
 	opts    Options
+	r       *mapper.Reconciler[record] // keyed by addr/profile
+}
 
-	mu     sync.Mutex
-	imp    mapper.Importer
-	mapped map[string]*mappedService // keyed by addr/profile
-	misses map[string]int            // keyed by addr
-	nextID int
-	closed bool
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+// record is one SDP service record of a discovered device.
+type record struct {
+	dev bluetooth.DeviceInfo
+	rec bluetooth.Record
 }
 
 var _ mapper.Mapper = (*Mapper)(nil)
@@ -85,12 +72,18 @@ var _ mapper.Mapper = (*Mapper)(nil)
 // New creates a Bluetooth mapper using the given (already powered)
 // adapter.
 func New(adapter *bluetooth.Adapter, opts Options) *Mapper {
-	return &Mapper{
-		adapter: adapter,
-		opts:    opts.withDefaults(),
-		mapped:  make(map[string]*mappedService),
-		misses:  make(map[string]int),
-	}
+	m := &Mapper{adapter: adapter, opts: opts.withDefaults()}
+	m.r = mapper.NewReconciler(mapper.Adapter[record]{
+		Platform:      Platform,
+		IDPrefix:      "dev",
+		Interval:      m.opts.InquiryInterval,
+		MissThreshold: m.opts.MissThreshold,
+		Poll:          m.inquire,
+		Describe:      m.describe,
+		Recorder:      m.opts.Recorder,
+		Logger:        m.opts.Logger,
+	})
+	return m
 }
 
 // Platform implements mapper.Mapper.
@@ -98,182 +91,66 @@ func (m *Mapper) Platform() string { return Platform }
 
 // Start implements mapper.Mapper.
 func (m *Mapper) Start(ctx context.Context, imp mapper.Importer) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return fmt.Errorf("btmap: closed")
-	}
-	m.imp = imp
-	runCtx, cancel := context.WithCancel(ctx)
-	m.cancel = cancel
-	m.mu.Unlock()
-
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		mapper.Guard(imp, Platform, func() {
-			ticker := time.NewTicker(m.opts.InquiryInterval)
-			defer ticker.Stop()
-			m.sweep(runCtx)
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-ticker.C:
-					m.sweep(runCtx)
-				}
-			}
-		})
-	}()
-	return nil
+	return m.r.Start(ctx, imp)
 }
 
 // Close implements mapper.Mapper.
 func (m *Mapper) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	cancel := m.cancel
-	var cleanups []func()
-	for _, s := range m.mapped {
-		if s != nil && s.cleanup != nil {
-			cleanups = append(cleanups, s.cleanup)
-		}
-	}
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	for _, fn := range cleanups {
-		fn()
-	}
-	m.wg.Wait()
+	m.r.Close()
 	return nil
 }
 
-// sweep runs one inquiry and reconciles the mapped population.
-func (m *Mapper) sweep(ctx context.Context) {
+// MappedCount returns the number of currently mapped services.
+func (m *Mapper) MappedCount() int { return m.r.MappedCount() }
+
+// inquire runs one inquiry and lists every service record of every
+// device found. A failed SDP query fails the pass, so the device's
+// services are not charged a miss.
+func (m *Mapper) inquire(ctx context.Context) ([]mapper.Sighting[record], error) {
 	found, err := m.adapter.Inquiry(ctx, m.opts.InquiryWindow)
-	if err != nil && ctx.Err() == nil {
-		m.opts.Logger.Warn("btmap: inquiry failed", "err", err)
-		return
-	}
-	present := make(map[string]bool, len(found))
-	for _, dev := range found {
-		present[dev.Addr] = true
-		m.mapDeviceServices(ctx, dev)
-	}
-	m.reapMissing(present)
-}
-
-// mapDeviceServices queries SDP and imports a translator per matching
-// record.
-func (m *Mapper) mapDeviceServices(ctx context.Context, dev bluetooth.DeviceInfo) {
-	m.mu.Lock()
-	m.misses[dev.Addr] = 0
-	m.mu.Unlock()
-
-	records, err := m.adapter.SDPQuery(ctx, dev.Addr, "")
-	if err != nil {
-		m.opts.Logger.Warn("btmap: sdp query failed", "addr", dev.Addr, "err", err)
-		return
-	}
-	for _, rec := range records {
-		key := dev.Addr + "/" + rec.ProfileName
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			return
-		}
-		if _, known := m.mapped[key]; known {
-			m.mu.Unlock()
-			continue
-		}
-		m.mapped[key] = nil // reserve
-		m.mu.Unlock()
-
-		start := time.Now()
-		ms, err := m.mapRecord(ctx, dev, rec)
-		if err != nil {
-			m.opts.Logger.Warn("btmap: mapping failed", "key", key, "err", err)
-			m.mu.Lock()
-			delete(m.mapped, key)
-			m.mu.Unlock()
-			continue
-		}
-		m.mu.Lock()
-		m.mapped[key] = ms
-		m.mu.Unlock()
-		profile := ms.translator.Profile()
-		s := mapper.Sample{
-			Platform:   Platform,
-			DeviceType: rec.ProfileName,
-			Duration:   time.Since(start),
-			Ports:      profile.Shape.Len(),
-		}
-		m.opts.Recorder.Record(s)
-		mapper.ObserveMapped(mapper.RegistryOf(m.imp), m.imp.Node(), s)
-		m.opts.Logger.Info("btmap: mapped", "id", ms.id, "took", time.Since(start))
-	}
-}
-
-// mapRecord builds the translator for one SDP record.
-func (m *Mapper) mapRecord(ctx context.Context, dev bluetooth.DeviceInfo, rec bluetooth.Record) (*mappedService, error) {
-	svcDef, ok := m.imp.USDL().Find(Platform, rec.ProfileName)
-	if !ok {
-		return nil, fmt.Errorf("btmap: no USDL document for profile %q", rec.ProfileName)
-	}
-	m.mu.Lock()
-	m.nextID++
-	localID := fmt.Sprintf("dev-%d", m.nextID)
-	m.mu.Unlock()
-	profile := core.Profile{
-		ID:         core.MakeTranslatorID(m.imp.Node(), Platform, localID),
-		Name:       rec.ServiceName,
-		Platform:   Platform,
-		DeviceType: rec.ProfileName,
-		Node:       m.imp.Node(),
-		Attributes: map[string]string{
-			"addr":    dev.Addr,
-			"class":   fmt.Sprintf("0x%04x", dev.Class),
-			"channel": fmt.Sprintf("%d", rec.RFCOMMChannel),
-		},
-	}
-	driver := m.driverFor(dev, rec)
-	gt, err := usdl.NewGenericTranslator(profile, svcDef, driver)
 	if err != nil {
 		return nil, err
 	}
-	ms := &mappedService{id: profile.ID, translator: gt}
+	var out []mapper.Sighting[record]
+	for _, dev := range found {
+		records, sdpErr := m.adapter.SDPQuery(ctx, dev.Addr, "")
+		if sdpErr != nil {
+			err = fmt.Errorf("btmap: sdp query %s: %w", dev.Addr, sdpErr)
+			continue
+		}
+		for _, rec := range records {
+			out = append(out, mapper.Sighting[record]{Key: dev.Addr + "/" + rec.ProfileName, Native: record{dev, rec}})
+		}
+	}
+	return out, err
+}
 
-	// HID devices stream input reports: connect and translate each
-	// report to a VML document emitted as a native event.
+// describe builds the description for one SDP record. HID devices stream
+// input reports: the mapper connects and pumps each report, translated
+// to a VML document, into the translator as a native event.
+func (m *Mapper) describe(ctx context.Context, _ string, r record) (mapper.Desc, error) {
+	dev, rec := r.dev, r.rec
+	d := mapper.Desc{
+		Profile: core.Profile{
+			Name:       rec.ServiceName,
+			DeviceType: rec.ProfileName,
+			Attributes: map[string]string{
+				"addr":    dev.Addr,
+				"class":   fmt.Sprintf("0x%04x", dev.Class),
+				"channel": fmt.Sprintf("%d", rec.RFCOMMChannel),
+			},
+		},
+		Driver: m.driverFor(dev, rec),
+	}
 	if rec.HasClass(bluetooth.UUIDHID) {
 		host, err := bluetooth.ConnectHID(ctx, m.adapter, dev.Addr, rec.RFCOMMChannel)
 		if err != nil {
-			gt.Close()
-			return nil, fmt.Errorf("btmap: hid connect: %w", err)
+			return mapper.Desc{}, fmt.Errorf("btmap: hid connect: %w", err)
 		}
-		ms.cleanup = func() { host.Close() }
-		imp := m.imp
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			mapper.Guard(imp, Platform, func() { m.hidLoop(host, gt) })
-		}()
+		d.Cleanup = func() { host.Close() }
+		d.Pump = func(gt *usdl.GenericTranslator) { hidLoop(host, gt) }
 	}
-
-	if err := m.imp.ImportTranslator(gt); err != nil {
-		if ms.cleanup != nil {
-			ms.cleanup()
-		}
-		gt.Close()
-		return nil, err
-	}
-	return ms, nil
+	return d, nil
 }
 
 // driverFor builds the OBEX-backed native driver for BIP records.
@@ -301,7 +178,7 @@ func (m *Mapper) driverFor(dev bluetooth.DeviceInfo, rec bluetooth.Record) usdl.
 
 // hidLoop translates HID reports into VML-document native events — the
 // paper's device-level bridging path for the Bluetooth mouse.
-func (m *Mapper) hidLoop(host *bluetooth.HIDHost, gt *usdl.GenericTranslator) {
+func hidLoop(host *bluetooth.HIDHost, gt *usdl.GenericTranslator) {
 	for {
 		report, err := host.ReadReport()
 		if err != nil {
@@ -323,52 +200,4 @@ func reportToVML(r bluetooth.HIDReport) string {
 		return fmt.Sprintf(`<v:vml xmlns:v="urn:schemas-microsoft-com:vml"><v:oval style="click" button="%d"/></v:vml>`, r.Buttons)
 	}
 	return fmt.Sprintf(`<v:vml xmlns:v="urn:schemas-microsoft-com:vml"><v:line from="0,0" to="%d,%d"/></v:vml>`, r.DX, r.DY)
-}
-
-// reapMissing unmaps devices that failed MissThreshold consecutive
-// sweeps.
-func (m *Mapper) reapMissing(present map[string]bool) {
-	m.mu.Lock()
-	var victims []*mappedService
-	var victimKeys []string
-	for key, ms := range m.mapped {
-		if ms == nil {
-			continue
-		}
-		addr := ms.translator.Profile().Attr("addr")
-		if present[addr] {
-			continue
-		}
-		m.misses[addr]++
-		if m.misses[addr] >= m.opts.MissThreshold {
-			victims = append(victims, ms)
-			victimKeys = append(victimKeys, key)
-		}
-	}
-	for _, key := range victimKeys {
-		delete(m.mapped, key)
-	}
-	imp := m.imp
-	m.mu.Unlock()
-	for _, ms := range victims {
-		if ms.cleanup != nil {
-			ms.cleanup()
-		}
-		if err := imp.RemoveTranslator(ms.id); err != nil {
-			m.opts.Logger.Warn("btmap: unmap failed", "id", ms.id, "err", err)
-		}
-	}
-}
-
-// MappedCount returns the number of currently mapped services.
-func (m *Mapper) MappedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, s := range m.mapped {
-		if s != nil {
-			n++
-		}
-	}
-	return n
 }

@@ -137,24 +137,6 @@ func TestMapsMouseAndTranslatesToVML(t *testing.T) {
 	}
 }
 
-func TestDeviceDisappearanceUnmaps(t *testing.T) {
-	net := newBTWorld(t)
-	m, imp := startMapper(t, net, nil)
-	camAdapter, _ := newCamera(t, net, "cam-dev")
-	if err := imp.WaitCount(1, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// The camera's radio goes quiet: after MissThreshold sweeps it is
-	// unmapped.
-	camAdapter.SetDiscoverable(false)
-	if err := imp.WaitCount(0, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if m.MappedCount() != 0 {
-		t.Fatalf("MappedCount = %d", m.MappedCount())
-	}
-}
-
 func TestReportToVML(t *testing.T) {
 	click := reportToVML(bluetooth.HIDReport{Buttons: 1})
 	if !strings.Contains(click, `button="1"`) {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"strings"
 	"sync"
 	"time"
 
@@ -44,44 +45,32 @@ func (o Options) withDefaults() Options {
 	if o.PollInterval <= 0 {
 		o.PollInterval = 500 * time.Millisecond
 	}
-	if o.Logger == nil {
-		o.Logger = slog.New(slog.DiscardHandler)
-	}
 	return o
-}
-
-// mappedStream tracks one imported stream.
-type mappedStream struct {
-	id       core.TranslatorID
-	consumer *mediabroker.Consumer
-
-	mu       sync.Mutex
-	producer *mediabroker.Producer
 }
 
 // Mapper is the MediaBroker platform mapper.
 type Mapper struct {
 	host *netemu.Host
 	opts Options
-
-	mu     sync.Mutex
-	imp    mapper.Importer
-	mapped map[string]*mappedStream
-	nextID int
-	closed bool
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	r    *mapper.Reconciler[mediabroker.StreamInfo] // keyed by stream name
 }
 
 var _ mapper.Mapper = (*Mapper)(nil)
 
 // New creates a MediaBroker mapper on the given host.
 func New(host *netemu.Host, opts Options) *Mapper {
-	return &Mapper{
-		host:   host,
-		opts:   opts.withDefaults(),
-		mapped: make(map[string]*mappedStream),
-	}
+	m := &Mapper{host: host, opts: opts.withDefaults()}
+	m.r = mapper.NewReconciler(mapper.Adapter[mediabroker.StreamInfo]{
+		Platform:      Platform,
+		IDPrefix:      "stream",
+		Interval:      m.opts.PollInterval,
+		MissThreshold: 1,
+		Poll:          m.poll,
+		Describe:      m.describe,
+		Recorder:      m.opts.Recorder,
+		Logger:        m.opts.Logger,
+	})
+	return m
 }
 
 // Platform implements mapper.Mapper.
@@ -89,193 +78,82 @@ func (m *Mapper) Platform() string { return Platform }
 
 // Start implements mapper.Mapper.
 func (m *Mapper) Start(ctx context.Context, imp mapper.Importer) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return fmt.Errorf("mbmap: closed")
-	}
-	m.imp = imp
-	runCtx, cancel := context.WithCancel(ctx)
-	m.cancel = cancel
-	m.mu.Unlock()
-
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		mapper.Guard(imp, Platform, func() {
-			ticker := time.NewTicker(m.opts.PollInterval)
-			defer ticker.Stop()
-			m.sweep(runCtx)
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-ticker.C:
-					m.sweep(runCtx)
-				}
-			}
-		})
-	}()
-	return nil
+	return m.r.Start(ctx, imp)
 }
 
 // Close implements mapper.Mapper.
 func (m *Mapper) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	cancel := m.cancel
-	streams := make([]*mappedStream, 0, len(m.mapped))
-	for _, s := range m.mapped {
-		if s != nil {
-			streams = append(streams, s)
-		}
-	}
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	for _, s := range streams {
-		s.close()
-	}
-	m.wg.Wait()
+	m.r.Close()
 	return nil
 }
 
-func (s *mappedStream) close() {
-	s.consumer.Close()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.producer != nil {
-		s.producer.Close()
-		s.producer = nil
-	}
-}
+// MappedCount returns the number of currently mapped streams.
+func (m *Mapper) MappedCount() int { return m.r.MappedCount() }
 
-func (m *Mapper) sweep(ctx context.Context) {
+// poll lists the broker's streams, leaving out uMiddle's own return
+// streams so they are never mapped back.
+func (m *Mapper) poll(ctx context.Context) ([]mapper.Sighting[mediabroker.StreamInfo], error) {
 	streams, err := mediabroker.ListStreams(ctx, m.host, m.opts.BrokerHost)
 	if err != nil {
-		if ctx.Err() == nil {
-			m.opts.Logger.Warn("mbmap: broker poll failed", "err", err)
-		}
-		return
+		return nil, err
 	}
-	present := make(map[string]bool, len(streams))
+	var out []mapper.Sighting[mediabroker.StreamInfo]
 	for _, info := range streams {
-		// Return streams are uMiddle's own; never map them back.
-		if len(info.Name) > len(ReturnSuffix) && info.Name[len(info.Name)-len(ReturnSuffix):] == ReturnSuffix {
-			continue
-		}
-		present[info.Name] = true
-		m.mapStream(ctx, info)
-	}
-	m.mu.Lock()
-	var victims []*mappedStream
-	var victimIDs []core.TranslatorID
-	for name, s := range m.mapped {
-		if s != nil && !present[name] {
-			victims = append(victims, s)
-			victimIDs = append(victimIDs, s.id)
-			delete(m.mapped, name)
+		if !strings.HasSuffix(info.Name, ReturnSuffix) {
+			out = append(out, mapper.Sighting[mediabroker.StreamInfo]{Key: info.Name, Native: info})
 		}
 	}
-	imp := m.imp
-	m.mu.Unlock()
-	for i, s := range victims {
-		s.close()
-		if err := imp.RemoveTranslator(victimIDs[i]); err != nil {
-			m.opts.Logger.Warn("mbmap: unmap failed", "id", victimIDs[i], "err", err)
-		}
-	}
+	return out, nil
 }
 
-func (m *Mapper) mapStream(ctx context.Context, info mediabroker.StreamInfo) {
-	m.mu.Lock()
-	if _, known := m.mapped[info.Name]; known || m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.mapped[info.Name] = nil // reserve
-	m.mu.Unlock()
+// returnStream is the lazily dialled producer of a stream's companion
+// return stream.
+type returnStream struct {
+	mu       sync.Mutex
+	producer *mediabroker.Producer
+}
 
-	start := time.Now()
-	svcDef, ok := m.imp.USDL().Find(Platform, "stream")
-	if !ok {
-		m.opts.Logger.Warn("mbmap: no USDL document for streams")
-		m.unreserve(info.Name)
-		return
-	}
-	consumer, err := mediabroker.NewConsumer(ctx, m.host, m.opts.BrokerHost, info.Name)
+// describe subscribes to the stream; the pump relays each native frame
+// to the translator, and publish actions go out on the return stream.
+func (m *Mapper) describe(ctx context.Context, name string, info mediabroker.StreamInfo) (mapper.Desc, error) {
+	consumer, err := mediabroker.NewConsumer(ctx, m.host, m.opts.BrokerHost, name)
 	if err != nil {
-		m.opts.Logger.Warn("mbmap: consume failed", "stream", info.Name, "err", err)
-		m.unreserve(info.Name)
-		return
+		return mapper.Desc{}, fmt.Errorf("mbmap: consume %s: %w", name, err)
 	}
-	m.mu.Lock()
-	m.nextID++
-	localID := fmt.Sprintf("stream-%d", m.nextID)
-	m.mu.Unlock()
-	profile := core.Profile{
-		ID:         core.MakeTranslatorID(m.imp.Node(), Platform, localID),
-		Name:       info.Name,
-		Platform:   Platform,
-		DeviceType: "stream",
-		Node:       m.imp.Node(),
-		Attributes: map[string]string{
-			"broker":    m.opts.BrokerHost,
-			"mediaType": info.MediaType,
-			"producer":  info.Producer,
-		},
-	}
-	ms := &mappedStream{consumer: consumer}
-	host := m.host
-	brokerHost := m.opts.BrokerHost
+	ret := &returnStream{}
+	host, brokerHost := m.host, m.opts.BrokerHost
 	driver := usdl.DriverFunc(func(ctx context.Context, action string, _ map[string]string, payload []byte) ([]byte, error) {
 		if action != "publish" {
 			return nil, fmt.Errorf("mbmap: unknown action %q", action)
 		}
-		ms.mu.Lock()
-		defer ms.mu.Unlock()
-		if ms.producer == nil {
-			p, err := mediabroker.NewProducer(ctx, host, brokerHost, info.Name+ReturnSuffix, info.MediaType)
+		ret.mu.Lock()
+		defer ret.mu.Unlock()
+		if ret.producer == nil {
+			p, err := mediabroker.NewProducer(ctx, host, brokerHost, name+ReturnSuffix, info.MediaType)
 			if err != nil {
 				return nil, err
 			}
-			ms.producer = p
+			ret.producer = p
 		}
-		if err := ms.producer.Send(payload); err != nil {
-			ms.producer.Close()
-			ms.producer = nil
+		if err := ret.producer.Send(payload); err != nil {
+			ret.producer.Close()
+			ret.producer = nil
 			return nil, err
 		}
 		return nil, nil
 	})
-	gt, err := usdl.NewGenericTranslator(profile, svcDef, driver)
-	if err != nil {
-		consumer.Close()
-		m.unreserve(info.Name)
-		return
-	}
-	ms.id = profile.ID
-	if err := m.imp.ImportTranslator(gt); err != nil {
-		consumer.Close()
-		gt.Close()
-		m.unreserve(info.Name)
-		return
-	}
-	m.mu.Lock()
-	m.mapped[info.Name] = ms
-	m.mu.Unlock()
-
-	// Pump native frames into the intermediary space.
-	imp := m.imp
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		mapper.Guard(imp, Platform, func() {
+	return mapper.Desc{
+		Profile: core.Profile{
+			Name:       name,
+			DeviceType: "stream",
+			Attributes: map[string]string{
+				"broker":    brokerHost,
+				"mediaType": info.MediaType,
+				"producer":  info.Producer,
+			},
+		},
+		Driver: driver,
+		Pump: func(gt *usdl.GenericTranslator) {
 			for {
 				frame, err := consumer.Recv()
 				if err != nil {
@@ -289,37 +167,15 @@ func (m *Mapper) mapStream(ctx context.Context, info mediabroker.StreamInfo) {
 					Headers: map[string]string{"mediaType": info.MediaType},
 				})
 			}
-		})
-	}()
-
-	s := mapper.Sample{
-		Platform:   Platform,
-		DeviceType: "stream",
-		Duration:   time.Since(start),
-		Ports:      gt.Profile().Shape.Len(),
-	}
-	m.opts.Recorder.Record(s)
-	mapper.ObserveMapped(mapper.RegistryOf(m.imp), m.imp.Node(), s)
-	m.opts.Logger.Info("mbmap: mapped", "stream", info.Name, "id", profile.ID)
-}
-
-func (m *Mapper) unreserve(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.mapped[name]; ok && s == nil {
-		delete(m.mapped, name)
-	}
-}
-
-// MappedCount returns the number of currently mapped streams.
-func (m *Mapper) MappedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, s := range m.mapped {
-		if s != nil {
-			n++
-		}
-	}
-	return n
+		},
+		Cleanup: func() {
+			consumer.Close()
+			ret.mu.Lock()
+			defer ret.mu.Unlock()
+			if ret.producer != nil {
+				ret.producer.Close()
+				ret.producer = nil
+			}
+		},
+	}, nil
 }

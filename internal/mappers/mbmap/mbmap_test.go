@@ -116,22 +116,3 @@ func TestPublishCreatesReturnStream(t *testing.T) {
 	}
 }
 
-func TestProducerGoneUnmaps(t *testing.T) {
-	net, _ := newMBWorld(t)
-	m, imp := startMapper(t, net)
-	prodHost := net.MustAddHost("producer")
-	prod, err := mediabroker.NewProducer(context.Background(), prodHost, "mb-dev", "feed", "application/octet-stream")
-	if err != nil {
-		t.Fatalf("NewProducer: %v", err)
-	}
-	if err := imp.WaitCount(1, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	prod.Close()
-	if err := imp.WaitCount(0, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if m.MappedCount() != 0 {
-		t.Fatalf("MappedCount = %d", m.MappedCount())
-	}
-}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log/slog"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -38,31 +37,15 @@ func (o Options) withDefaults() Options {
 	if o.LivenessWindow <= 0 {
 		o.LivenessWindow = 3 * time.Second
 	}
-	if o.Logger == nil {
-		o.Logger = slog.New(slog.DiscardHandler)
-	}
 	return o
-}
-
-// mappedMote tracks one imported mote.
-type mappedMote struct {
-	id         core.TranslatorID
-	translator *usdl.GenericTranslator
-	lastSeen   time.Time
 }
 
 // Mapper is the Motes platform mapper.
 type Mapper struct {
 	host *netemu.Host
 	opts Options
-
-	mu     sync.Mutex
-	base   *motes.BaseStation
-	imp    mapper.Importer
-	mapped map[uint16]*mappedMote
-	closed bool
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	base *motes.BaseStation
+	r    *mapper.Reconciler[uint16] // keyed by decimal mote ID
 }
 
 var _ mapper.Mapper = (*Mapper)(nil)
@@ -70,11 +53,18 @@ var _ mapper.Mapper = (*Mapper)(nil)
 // New creates a Motes mapper; the base station it hosts listens on the
 // runtime's host.
 func New(host *netemu.Host, opts Options) *Mapper {
-	return &Mapper{
-		host:   host,
-		opts:   opts.withDefaults(),
-		mapped: make(map[uint16]*mappedMote),
-	}
+	m := &Mapper{host: host, opts: opts.withDefaults()}
+	// A mote is unmapped after two silent half-windows: silence of
+	// between one and one and a half liveness windows.
+	m.r = mapper.NewReconciler(mapper.Adapter[uint16]{
+		Platform:      Platform,
+		Interval:      m.opts.LivenessWindow / 2,
+		MissThreshold: 2,
+		Describe:      describe,
+		Recorder:      m.opts.Recorder,
+		Logger:        m.opts.Logger,
+	})
+	return m
 }
 
 // Platform implements mapper.Mapper.
@@ -83,92 +73,45 @@ func (m *Mapper) Platform() string { return Platform }
 // Start implements mapper.Mapper: it boots the base station and begins
 // importing motes as they report.
 func (m *Mapper) Start(ctx context.Context, imp mapper.Importer) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return fmt.Errorf("motesmap: closed")
-	}
-	m.imp = imp
-	m.mu.Unlock()
-
 	base, err := motes.NewBaseStation(m.host)
 	if err != nil {
 		return fmt.Errorf("motesmap: %w", err)
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	m.mu.Lock()
 	m.base = base
-	m.cancel = cancel
-	m.mu.Unlock()
-
+	if err := m.r.Start(ctx, imp); err != nil {
+		base.Close()
+		return err
+	}
 	base.OnPacket(func(p motes.Packet) {
-		mapper.Guard(imp, Platform, func() { m.handlePacket(p) })
+		m.r.Guard(func() { m.handlePacket(p) })
 	})
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		mapper.Guard(imp, Platform, func() {
-			ticker := time.NewTicker(m.opts.LivenessWindow / 2)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-ticker.C:
-					m.reapSilent()
-				}
-			}
-		})
-	}()
 	return nil
 }
 
 // Close implements mapper.Mapper.
 func (m *Mapper) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
+	m.r.Close()
+	if m.base != nil {
+		m.base.Close()
 	}
-	m.closed = true
-	cancel := m.cancel
-	base := m.base
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	if base != nil {
-		base.Close()
-	}
-	m.wg.Wait()
 	return nil
 }
 
+// MappedCount returns the number of currently mapped motes.
+func (m *Mapper) MappedCount() int { return m.r.MappedCount() }
+
+// handlePacket maps a mote on its first packet and turns every reading
+// into a native event.
 func (m *Mapper) handlePacket(p motes.Packet) {
-	m.mu.Lock()
-	mm, known := m.mapped[p.MoteID]
-	if known && mm != nil {
-		mm.lastSeen = time.Now()
-	}
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return
-	}
-	if !known {
-		mm = m.mapMote(p.MoteID)
-		if mm == nil {
-			return
-		}
-	}
-	if mm == nil {
-		return // mapping in progress on another goroutine
+	gt := m.r.Seen(strconv.Itoa(int(p.MoteID)), p.MoteID)
+	if gt == nil {
+		return // mapping failed or in progress on another goroutine
 	}
 	native := "Light"
 	if p.Sensor == motes.SensorTemperature {
 		native = "Temperature"
 	}
-	mm.translator.NativeEvent(native, core.Message{
+	gt.NativeEvent(native, core.Message{
 		Payload: []byte(strconv.Itoa(int(p.Value))),
 		Headers: map[string]string{
 			"mote":   strconv.Itoa(int(p.MoteID)),
@@ -178,85 +121,15 @@ func (m *Mapper) handlePacket(p motes.Packet) {
 	})
 }
 
-func (m *Mapper) mapMote(id uint16) *mappedMote {
-	m.mu.Lock()
-	if _, known := m.mapped[id]; known || m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.mapped[id] = nil // reserve
-	m.mu.Unlock()
-
-	start := time.Now()
-	svcDef, ok := m.imp.USDL().Find(Platform, "sensor-mote")
-	if !ok {
-		m.opts.Logger.Warn("motesmap: no USDL document for motes")
-		return nil
-	}
-	profile := core.Profile{
-		ID:         core.MakeTranslatorID(m.imp.Node(), Platform, fmt.Sprintf("mote-%d", id)),
-		Name:       fmt.Sprintf("Mote %d", id),
-		Platform:   Platform,
-		DeviceType: "sensor-mote",
-		Node:       m.imp.Node(),
-		Attributes: map[string]string{"moteId": strconv.Itoa(int(id))},
-	}
-	// Motes are sense-only: no actions, so the driver is never invoked.
-	gt, err := usdl.NewGenericTranslator(profile, svcDef, usdl.DriverFunc(nil))
-	if err != nil {
-		m.opts.Logger.Warn("motesmap: translator failed", "mote", id, "err", err)
-		return nil
-	}
-	if err := m.imp.ImportTranslator(gt); err != nil {
-		gt.Close()
-		m.opts.Logger.Warn("motesmap: import failed", "mote", id, "err", err)
-		return nil
-	}
-	mm := &mappedMote{id: profile.ID, translator: gt, lastSeen: time.Now()}
-	m.mu.Lock()
-	m.mapped[id] = mm
-	m.mu.Unlock()
-	s := mapper.Sample{
-		Platform:   Platform,
-		DeviceType: "sensor-mote",
-		Duration:   time.Since(start),
-		Ports:      gt.Profile().Shape.Len(),
-	}
-	m.opts.Recorder.Record(s)
-	mapper.ObserveMapped(mapper.RegistryOf(m.imp), m.imp.Node(), s)
-	m.opts.Logger.Info("motesmap: mapped", "mote", id)
-	return mm
-}
-
-// reapSilent unmaps motes that have stopped reporting.
-func (m *Mapper) reapSilent() {
-	cutoff := time.Now().Add(-m.opts.LivenessWindow)
-	m.mu.Lock()
-	var victims []*mappedMote
-	for id, mm := range m.mapped {
-		if mm != nil && mm.lastSeen.Before(cutoff) {
-			victims = append(victims, mm)
-			delete(m.mapped, id)
-		}
-	}
-	imp := m.imp
-	m.mu.Unlock()
-	for _, mm := range victims {
-		if err := imp.RemoveTranslator(mm.id); err != nil {
-			m.opts.Logger.Warn("motesmap: unmap failed", "id", mm.id, "err", err)
-		}
-	}
-}
-
-// MappedCount returns the number of currently mapped motes.
-func (m *Mapper) MappedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, mm := range m.mapped {
-		if mm != nil {
-			n++
-		}
-	}
-	return n
+func describe(_ context.Context, key string, id uint16) (mapper.Desc, error) {
+	return mapper.Desc{
+		Profile: core.Profile{
+			Name:       fmt.Sprintf("Mote %d", id),
+			DeviceType: "sensor-mote",
+			Attributes: map[string]string{"moteId": key},
+		},
+		LocalID: "mote-" + key,
+		// Motes are sense-only: no actions, so the driver is never invoked.
+		Driver: usdl.DriverFunc(nil),
+	}, nil
 }

@@ -8,9 +8,7 @@ package rmimap
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -39,27 +37,15 @@ func (o Options) withDefaults() Options {
 	if o.PollInterval <= 0 {
 		o.PollInterval = 500 * time.Millisecond
 	}
-	if o.Logger == nil {
-		o.Logger = slog.New(slog.DiscardHandler)
-	}
 	return o
 }
 
 // Mapper is the RMI platform mapper.
 type Mapper struct {
-	host *netemu.Host
-	opts Options
-
+	opts     Options
 	client   *rmi.Client
 	registry *rmi.RegistryClient
-
-	mu     sync.Mutex
-	imp    mapper.Importer
-	mapped map[string]core.TranslatorID // registry name -> translator
-	nextID int
-	closed bool
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	r        *mapper.Reconciler[struct{}] // keyed by registry name
 }
 
 var _ mapper.Mapper = (*Mapper)(nil)
@@ -67,13 +53,22 @@ var _ mapper.Mapper = (*Mapper)(nil)
 // New creates an RMI mapper on the given host.
 func New(host *netemu.Host, opts Options) *Mapper {
 	opts = opts.withDefaults()
-	return &Mapper{
-		host:     host,
+	m := &Mapper{
 		opts:     opts,
 		client:   rmi.NewClient(host),
 		registry: rmi.NewRegistryClient(host, opts.RegistryHost),
-		mapped:   make(map[string]core.TranslatorID),
 	}
+	m.r = mapper.NewReconciler(mapper.Adapter[struct{}]{
+		Platform:      Platform,
+		IDPrefix:      "obj",
+		Interval:      opts.PollInterval,
+		MissThreshold: 1,
+		Poll:          m.poll,
+		Describe:      m.describe,
+		Recorder:      opts.Recorder,
+		Logger:        opts.Logger,
+	})
+	return m
 }
 
 // Platform implements mapper.Mapper.
@@ -81,173 +76,54 @@ func (m *Mapper) Platform() string { return Platform }
 
 // Start implements mapper.Mapper.
 func (m *Mapper) Start(ctx context.Context, imp mapper.Importer) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return fmt.Errorf("rmimap: closed")
-	}
-	m.imp = imp
-	runCtx, cancel := context.WithCancel(ctx)
-	m.cancel = cancel
-	m.mu.Unlock()
-
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		mapper.Guard(imp, Platform, func() {
-			ticker := time.NewTicker(m.opts.PollInterval)
-			defer ticker.Stop()
-			m.sweep(runCtx)
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-ticker.C:
-					m.sweep(runCtx)
-				}
-			}
-		})
-	}()
-	return nil
+	return m.r.Start(ctx, imp)
 }
 
 // Close implements mapper.Mapper.
 func (m *Mapper) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	cancel := m.cancel
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	m.wg.Wait()
+	m.r.Close()
 	return m.client.Close()
 }
 
-// sweep reconciles translators with the registry's bindings.
-func (m *Mapper) sweep(ctx context.Context) {
+// MappedCount returns the number of currently mapped objects.
+func (m *Mapper) MappedCount() int { return m.r.MappedCount() }
+
+// poll lists the registry's bound names.
+func (m *Mapper) poll(ctx context.Context) ([]mapper.Sighting[struct{}], error) {
 	names, err := m.registry.List(ctx)
-	if err != nil {
-		if ctx.Err() == nil {
-			m.opts.Logger.Warn("rmimap: registry poll failed", "err", err)
-		}
-		return
+	out := make([]mapper.Sighting[struct{}], len(names))
+	for i, name := range names {
+		out[i].Key = name
 	}
-	present := make(map[string]bool, len(names))
-	for _, name := range names {
-		present[name] = true
-		m.mapName(ctx, name)
-	}
-	// Unmap withdrawn names.
-	m.mu.Lock()
-	var victims []core.TranslatorID
-	for name, id := range m.mapped {
-		if !present[name] {
-			victims = append(victims, id)
-			delete(m.mapped, name)
-		}
-	}
-	imp := m.imp
-	m.mu.Unlock()
-	for _, id := range victims {
-		if err := imp.RemoveTranslator(id); err != nil {
-			m.opts.Logger.Warn("rmimap: unmap failed", "id", id, "err", err)
-		}
-	}
+	return out, err
 }
 
-func (m *Mapper) mapName(ctx context.Context, name string) {
-	m.mu.Lock()
-	if _, known := m.mapped[name]; known || m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.mapped[name] = "" // reserve
-	m.mu.Unlock()
-
-	start := time.Now()
+// describe resolves a bound name; the driver turns each action into a
+// synchronous remote invocation on the object.
+func (m *Mapper) describe(ctx context.Context, name string, _ struct{}) (mapper.Desc, error) {
 	ref, err := m.registry.Lookup(ctx, name)
 	if err != nil {
-		m.unreserve(name)
-		return
-	}
-	svcDef, ok := m.imp.USDL().Find(Platform, ref.Interface)
-	if !ok {
-		m.opts.Logger.Warn("rmimap: no USDL document", "interface", ref.Interface)
-		m.unreserve(name)
-		return
-	}
-	m.mu.Lock()
-	m.nextID++
-	localID := fmt.Sprintf("obj-%d", m.nextID)
-	m.mu.Unlock()
-	profile := core.Profile{
-		ID:         core.MakeTranslatorID(m.imp.Node(), Platform, localID),
-		Name:       name,
-		Platform:   Platform,
-		DeviceType: ref.Interface,
-		Node:       m.imp.Node(),
-		Attributes: map[string]string{
-			"registry": m.opts.RegistryHost,
-			"host":     ref.Host,
-		},
+		return mapper.Desc{}, err
 	}
 	client := m.client
-	driver := usdl.DriverFunc(func(ctx context.Context, action string, _ map[string]string, payload []byte) ([]byte, error) {
-		results, err := client.Call(ctx, ref, action, [][]byte{payload})
-		if err != nil {
-			return nil, err
-		}
-		if len(results) > 0 {
-			return results[0], nil
-		}
-		return nil, nil
-	})
-	gt, err := usdl.NewGenericTranslator(profile, svcDef, driver)
-	if err != nil {
-		m.unreserve(name)
-		return
-	}
-	if err := m.imp.ImportTranslator(gt); err != nil {
-		gt.Close()
-		m.unreserve(name)
-		return
-	}
-	m.mu.Lock()
-	m.mapped[name] = profile.ID
-	m.mu.Unlock()
-	s := mapper.Sample{
-		Platform:   Platform,
-		DeviceType: ref.Interface,
-		Duration:   time.Since(start),
-		Ports:      gt.Profile().Shape.Len(),
-	}
-	m.opts.Recorder.Record(s)
-	mapper.ObserveMapped(mapper.RegistryOf(m.imp), m.imp.Node(), s)
-	m.opts.Logger.Info("rmimap: mapped", "name", name, "id", profile.ID)
-}
-
-func (m *Mapper) unreserve(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if id, ok := m.mapped[name]; ok && id == "" {
-		delete(m.mapped, name)
-	}
-}
-
-// MappedCount returns the number of currently mapped objects.
-func (m *Mapper) MappedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, id := range m.mapped {
-		if id != "" {
-			n++
-		}
-	}
-	return n
+	return mapper.Desc{
+		Profile: core.Profile{
+			Name:       name,
+			DeviceType: ref.Interface,
+			Attributes: map[string]string{
+				"registry": m.opts.RegistryHost,
+				"host":     ref.Host,
+			},
+		},
+		Driver: usdl.DriverFunc(func(ctx context.Context, action string, _ map[string]string, payload []byte) ([]byte, error) {
+			results, err := client.Call(ctx, ref, action, [][]byte{payload})
+			if err != nil {
+				return nil, err
+			}
+			if len(results) > 0 {
+				return results[0], nil
+			}
+			return nil, nil
+		}),
+	}, nil
 }

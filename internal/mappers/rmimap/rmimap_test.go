@@ -78,23 +78,6 @@ func TestMapsBoundObject(t *testing.T) {
 	}
 }
 
-func TestUnbindUnmaps(t *testing.T) {
-	net, srv, rc := newRMIWorld(t)
-	_, imp := startMapper(t, net)
-	ref := rmi.ExportEcho(srv)
-	ctx := context.Background()
-	rc.Bind(ctx, "echo", ref)
-	if err := imp.WaitCount(1, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Unbind(ctx, "echo"); err != nil {
-		t.Fatalf("Unbind: %v", err)
-	}
-	if err := imp.WaitCount(0, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUnknownInterfaceSkipped(t *testing.T) {
 	net, srv, rc := newRMIWorld(t)
 	_, imp := startMapper(t, net)

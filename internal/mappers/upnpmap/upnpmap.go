@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log/slog"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -44,31 +43,15 @@ func (o Options) withDefaults() Options {
 	if o.SearchInterval <= 0 {
 		o.SearchInterval = 2 * time.Second
 	}
-	if o.Logger == nil {
-		o.Logger = slog.New(slog.DiscardHandler)
-	}
 	return o
-}
-
-// mappedDevice tracks one imported native device.
-type mappedDevice struct {
-	id         core.TranslatorID
-	translator *usdl.GenericTranslator
 }
 
 // Mapper is the UPnP platform mapper.
 type Mapper struct {
 	host *netemu.Host
 	opts Options
-
-	mu      sync.Mutex
-	cp      *upnp.ControlPoint
-	imp     mapper.Importer
-	devices map[string]*mappedDevice // keyed by USN
-	nextID  int
-	closed  bool
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
+	cp   *upnp.ControlPoint
+	r    *mapper.Reconciler[string] // keyed by USN; native is the location
 }
 
 var _ mapper.Mapper = (*Mapper)(nil)
@@ -76,11 +59,22 @@ var _ mapper.Mapper = (*Mapper)(nil)
 // New creates a UPnP mapper on the given host (normally the runtime's
 // host).
 func New(host *netemu.Host, opts Options) *Mapper {
-	return &Mapper{
-		host:    host,
-		opts:    opts.withDefaults(),
-		devices: make(map[string]*mappedDevice),
-	}
+	m := &Mapper{host: host, opts: opts.withDefaults()}
+	m.r = mapper.NewReconciler(mapper.Adapter[string]{
+		Platform: Platform,
+		IDPrefix: "dev",
+		Interval: m.opts.SearchInterval,
+		// Periodic M-SEARCH sweeps pick up devices that predate the
+		// mapper; the responses arrive as advertisements.
+		Poll: func(context.Context) ([]mapper.Sighting[string], error) {
+			m.cp.Search(upnp.SSDPAll, 2) //nolint:errcheck // best effort
+			return nil, nil
+		},
+		Describe: m.describe,
+		Recorder: m.opts.Recorder,
+		Logger:   m.opts.Logger,
+	})
+	return m
 }
 
 // Platform implements mapper.Mapper.
@@ -89,165 +83,73 @@ func (m *Mapper) Platform() string { return Platform }
 // Start implements mapper.Mapper: it begins SSDP discovery and imports
 // translators for every device found.
 func (m *Mapper) Start(ctx context.Context, imp mapper.Importer) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return fmt.Errorf("upnpmap: closed")
-	}
-	m.imp = imp
 	cp := upnp.NewControlPoint(m.host, m.opts.EventPort)
-	m.cp = cp
-	m.mu.Unlock()
-
 	if err := cp.Start(); err != nil {
 		return fmt.Errorf("upnpmap: %w", err)
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	m.mu.Lock()
-	m.cancel = cancel
-	m.mu.Unlock()
-
+	m.cp = cp
+	if err := m.r.Start(ctx, imp); err != nil {
+		cp.Close()
+		return err
+	}
 	cp.OnAdvertisement(func(msg upnp.SSDPMessage) {
+		usn, location := msg.USN(), msg.Location()
 		switch {
-		case msg.IsAlive() || msg.Method == upnp.MethodResponse:
-			m.wg.Add(1)
-			go func() {
-				defer m.wg.Done()
-				mapper.Guard(imp, Platform, func() { m.handleAlive(runCtx, msg) })
-			}()
+		case (msg.IsAlive() || msg.Method == upnp.MethodResponse) && usn != "" && location != "":
+			m.r.Go(func() { m.r.Seen(usn, location) })
 		case msg.IsByeBye():
-			mapper.Guard(imp, Platform, func() { m.handleByeBye(msg) })
+			// byebye USNs may use the bare uuid form; match by prefix.
+			m.r.Guard(func() {
+				m.r.Bye(func(known string) bool {
+					return known == usn || strings.HasPrefix(known, usn) || strings.HasPrefix(usn, uuidOf(known))
+				})
+			})
 		}
 	})
-
-	// Periodic sweeps pick up devices that predate the mapper.
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		mapper.Guard(imp, Platform, func() {
-			ticker := time.NewTicker(m.opts.SearchInterval)
-			defer ticker.Stop()
-			cp.Search(upnp.SSDPAll, 2) //nolint:errcheck // best effort
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-ticker.C:
-					cp.Search(upnp.SSDPAll, 2) //nolint:errcheck // best effort
-				}
-			}
-		})
-	}()
 	return nil
 }
 
 // Close implements mapper.Mapper.
 func (m *Mapper) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
+	m.r.Close()
+	if m.cp != nil {
+		m.cp.Close()
 	}
-	m.closed = true
-	cancel := m.cancel
-	cp := m.cp
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	if cp != nil {
-		cp.Close()
-	}
-	m.wg.Wait()
 	return nil
 }
 
-// handleAlive maps a newly advertised device: this is the service-level
-// bridging operation Figure 10 benchmarks.
-func (m *Mapper) handleAlive(ctx context.Context, msg upnp.SSDPMessage) {
-	usn := msg.USN()
-	location := msg.Location()
-	if usn == "" || location == "" {
-		return
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	if _, known := m.devices[usn]; known {
-		m.mu.Unlock()
-		return
-	}
-	// Reserve the slot so concurrent adverts do not double-map.
-	m.devices[usn] = nil
-	m.mu.Unlock()
-
-	start := time.Now()
-	dev, err := m.mapDevice(ctx, usn, location)
-	if err != nil {
-		m.opts.Logger.Warn("upnpmap: mapping failed", "usn", usn, "err", err)
-		m.mu.Lock()
-		delete(m.devices, usn)
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Lock()
-	m.devices[usn] = dev
-	m.mu.Unlock()
-	profile := dev.translator.Profile()
-	s := mapper.Sample{
-		Platform:   Platform,
-		DeviceType: profile.DeviceType,
-		Duration:   time.Since(start),
-		Ports:      profile.Shape.Len(),
-	}
-	m.opts.Recorder.Record(s)
-	mapper.ObserveMapped(mapper.RegistryOf(m.imp), m.imp.Node(), s)
-	m.opts.Logger.Info("upnpmap: mapped", "id", dev.id, "took", time.Since(start))
-}
-
-// mapDevice performs the full import: description fetch, USDL lookup,
-// SCPD fetches, translator instantiation, GENA subscriptions, directory
-// registration.
-func (m *Mapper) mapDevice(ctx context.Context, usn, location string) (*mappedDevice, error) {
+// describe fetches a device's description and SCPDs and builds its SOAP
+// driver; GENA subscriptions attach the translator to native events.
+// This is the service-level bridging operation Figure 10 benchmarks.
+func (m *Mapper) describe(ctx context.Context, usn, location string) (mapper.Desc, error) {
 	fetchCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	desc, err := m.cp.FetchDescription(fetchCtx, location)
 	if err != nil {
-		return nil, err
+		return mapper.Desc{}, err
 	}
 	deviceType := desc.Device.DeviceType
 
-	svcDef, ok := m.imp.USDL().Find(Platform, deviceType)
-	if !ok {
-		return nil, fmt.Errorf("upnpmap: no USDL document for %q", deviceType)
-	}
-
-	// Build the action table: action name -> (service info, service type)
-	// from every service's SCPD.
-	type actionTarget struct {
-		info upnp.ServiceInfo
-	}
-	actions := make(map[string]actionTarget)
+	// The action table: action name -> the service that declares it.
+	actions := make(map[string]upnp.ServiceInfo)
 	for _, info := range desc.Device.Services {
 		scpd, err := m.cp.FetchSCPD(fetchCtx, location, info.SCPDURL)
 		if err != nil {
-			return nil, err
+			return mapper.Desc{}, err
 		}
 		for _, a := range scpd.Actions {
-			actions[a.Name] = actionTarget{info: info}
+			actions[a.Name] = info
 		}
 	}
 
 	cp := m.cp
 	driver := usdl.DriverFunc(func(ctx context.Context, action string, args map[string]string, _ []byte) ([]byte, error) {
-		target, ok := actions[action]
+		info, ok := actions[action]
 		if !ok {
 			return nil, fmt.Errorf("upnpmap: device %s has no action %q", deviceType, action)
 		}
-		out, err := cp.Invoke(ctx, location, target.info.ControlURL, upnp.ActionCall{
-			ServiceType: target.info.ServiceType,
+		out, err := cp.Invoke(ctx, location, info.ControlURL, upnp.ActionCall{
+			ServiceType: info.ServiceType,
 			Action:      action,
 			Args:        args,
 		})
@@ -263,78 +165,37 @@ func (m *Mapper) mapDevice(ctx context.Context, usn, location string) (*mappedDe
 		return nil, nil
 	})
 
-	m.mu.Lock()
-	m.nextID++
-	localID := fmt.Sprintf("dev-%d", m.nextID)
-	m.mu.Unlock()
-	profile := core.Profile{
-		ID:         core.MakeTranslatorID(m.imp.Node(), Platform, localID),
-		Name:       desc.Device.FriendlyName,
-		Platform:   Platform,
-		DeviceType: deviceType,
-		Node:       m.imp.Node(),
-		Attributes: map[string]string{
-			"usn":      usn,
-			"location": location,
-		},
-	}
-	gt, err := usdl.NewGenericTranslator(profile, svcDef, driver)
-	if err != nil {
-		return nil, err
-	}
-
 	// GENA subscriptions: state-variable changes become native events
 	// "<Var>Changed" routed by the USDL event table.
-	for _, info := range desc.Device.Services {
-		info := info
-		_, err := cp.Subscribe(fetchCtx, location, info.EventSubURL, func(variable, value string) {
-			gt.NativeEvent(variable+"Changed", core.Message{
-				Type:    "text/event",
-				Payload: []byte(value),
-				Headers: map[string]string{"variable": variable, "service": info.ServiceID},
+	attach := func(gt *usdl.GenericTranslator) error {
+		subCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		for _, info := range desc.Device.Services {
+			_, err := cp.Subscribe(subCtx, location, info.EventSubURL, func(variable, value string) {
+				m.r.Guard(func() {
+					gt.NativeEvent(variable+"Changed", core.Message{
+						Type:    "text/event",
+						Payload: []byte(value),
+						Headers: map[string]string{"variable": variable, "service": info.ServiceID},
+					})
+				})
 			})
-		})
-		if err != nil {
-			gt.Close()
-			return nil, fmt.Errorf("upnpmap: subscribe %s: %w", info.ServiceID, err)
+			if err != nil {
+				return fmt.Errorf("upnpmap: subscribe %s: %w", info.ServiceID, err)
+			}
 		}
+		return nil
 	}
 
-	if err := m.imp.ImportTranslator(gt); err != nil {
-		gt.Close()
-		return nil, err
-	}
-	return &mappedDevice{id: profile.ID, translator: gt}, nil
-}
-
-// handleByeBye unmaps a departed device.
-func (m *Mapper) handleByeBye(msg upnp.SSDPMessage) {
-	usn := msg.USN()
-	// byebye USNs may use the bare uuid form; match by prefix.
-	m.mu.Lock()
-	var victim *mappedDevice
-	var victimUSN string
-	for knownUSN, dev := range m.devices {
-		if dev == nil {
-			continue
-		}
-		if knownUSN == usn || strings.HasPrefix(knownUSN, usn) || strings.HasPrefix(usn, uuidOf(knownUSN)) {
-			victim = dev
-			victimUSN = knownUSN
-			break
-		}
-	}
-	if victim != nil {
-		delete(m.devices, victimUSN)
-	}
-	imp := m.imp
-	m.mu.Unlock()
-	if victim == nil || imp == nil {
-		return
-	}
-	if err := imp.RemoveTranslator(victim.id); err != nil {
-		m.opts.Logger.Warn("upnpmap: unmap failed", "id", victim.id, "err", err)
-	}
+	return mapper.Desc{
+		Profile: core.Profile{
+			Name:       desc.Device.FriendlyName,
+			DeviceType: deviceType,
+			Attributes: map[string]string{"usn": usn, "location": location},
+		},
+		Driver: driver,
+		Attach: attach,
+	}, nil
 }
 
 // uuidOf extracts the uuid component of a USN ("uuid:x::type" -> "uuid:x").
@@ -346,14 +207,4 @@ func uuidOf(usn string) string {
 }
 
 // MappedCount returns the number of currently mapped devices.
-func (m *Mapper) MappedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, d := range m.devices {
-		if d != nil {
-			n++
-		}
-	}
-	return n
-}
+func (m *Mapper) MappedCount() int { return m.r.MappedCount() }

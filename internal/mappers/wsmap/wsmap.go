@@ -10,7 +10,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -40,37 +39,38 @@ func (o Options) withDefaults() Options {
 	if o.PollInterval <= 0 {
 		o.PollInterval = time.Second
 	}
-	if o.Logger == nil {
-		o.Logger = slog.New(slog.DiscardHandler)
-	}
 	return o
 }
 
 // Mapper is the web-services platform mapper.
 type Mapper struct {
-	host   *netemu.Host
 	opts   Options
 	client *webservice.Client
+	r      *mapper.Reconciler[service] // keyed by baseURL+"/"+name
+}
 
-	mu     sync.Mutex
-	imp    mapper.Importer
-	mapped map[string]core.TranslatorID // baseURL+"/"+name -> translator
-	nextID int
-	closed bool
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+// service is one entry of a host's service index.
+type service struct {
+	baseURL string
+	decl    webservice.ServiceDecl
 }
 
 var _ mapper.Mapper = (*Mapper)(nil)
 
 // New creates a web-services mapper on the given host.
 func New(host *netemu.Host, opts Options) *Mapper {
-	return &Mapper{
-		host:   host,
-		opts:   opts.withDefaults(),
-		client: webservice.NewClient(host),
-		mapped: make(map[string]core.TranslatorID),
-	}
+	m := &Mapper{opts: opts.withDefaults(), client: webservice.NewClient(host)}
+	m.r = mapper.NewReconciler(mapper.Adapter[service]{
+		Platform:      Platform,
+		IDPrefix:      "svc",
+		Interval:      m.opts.PollInterval,
+		MissThreshold: 1,
+		Poll:          m.poll,
+		Describe:      m.describe,
+		Recorder:      m.opts.Recorder,
+		Logger:        m.opts.Logger,
+	})
+	return m
 }
 
 // Platform implements mapper.Mapper.
@@ -78,116 +78,40 @@ func (m *Mapper) Platform() string { return Platform }
 
 // Start implements mapper.Mapper.
 func (m *Mapper) Start(ctx context.Context, imp mapper.Importer) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return fmt.Errorf("wsmap: closed")
-	}
-	m.imp = imp
-	runCtx, cancel := context.WithCancel(ctx)
-	m.cancel = cancel
-	m.mu.Unlock()
-
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		mapper.Guard(imp, Platform, func() {
-			ticker := time.NewTicker(m.opts.PollInterval)
-			defer ticker.Stop()
-			m.sweep(runCtx)
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-ticker.C:
-					m.sweep(runCtx)
-				}
-			}
-		})
-	}()
-	return nil
+	return m.r.Start(ctx, imp)
 }
 
 // Close implements mapper.Mapper.
 func (m *Mapper) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	cancel := m.cancel
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	m.wg.Wait()
+	m.r.Close()
 	return nil
 }
 
-func (m *Mapper) sweep(ctx context.Context) {
-	present := make(map[string]bool)
+// MappedCount returns the number of currently mapped services.
+func (m *Mapper) MappedCount() int { return m.r.MappedCount() }
+
+// poll reads every host's service index. A host whose index fails fails
+// the pass, so its services are not unmapped while it is unreachable.
+func (m *Mapper) poll(ctx context.Context) ([]mapper.Sighting[service], error) {
+	var out []mapper.Sighting[service]
+	var err error
 	for _, baseURL := range m.opts.BaseURLs {
-		services, err := m.client.Index(ctx, baseURL)
-		if err != nil {
-			if ctx.Err() == nil {
-				m.opts.Logger.Warn("wsmap: index failed", "base", baseURL, "err", err)
-			}
+		decls, indexErr := m.client.Index(ctx, baseURL)
+		if indexErr != nil {
+			err = fmt.Errorf("wsmap: index %s: %w", baseURL, indexErr)
 			continue
 		}
-		for _, svc := range services {
-			key := baseURL + "/" + svc.Name
-			present[key] = true
-			m.mapService(baseURL, svc)
+		for _, d := range decls {
+			out = append(out, mapper.Sighting[service]{Key: baseURL + "/" + d.Name, Native: service{baseURL, d}})
 		}
 	}
-	m.mu.Lock()
-	var victims []core.TranslatorID
-	for key, id := range m.mapped {
-		if id != "" && !present[key] {
-			victims = append(victims, id)
-			delete(m.mapped, key)
-		}
-	}
-	imp := m.imp
-	m.mu.Unlock()
-	for _, id := range victims {
-		if err := imp.RemoveTranslator(id); err != nil {
-			m.opts.Logger.Warn("wsmap: unmap failed", "id", id, "err", err)
-		}
-	}
+	return out, err
 }
 
-func (m *Mapper) mapService(baseURL string, svc webservice.ServiceDecl) {
-	key := baseURL + "/" + svc.Name
-	m.mu.Lock()
-	if _, known := m.mapped[key]; known || m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.mapped[key] = "" // reserve
-	m.mu.Unlock()
-
-	start := time.Now()
-	svcDef, ok := m.imp.USDL().Find(Platform, svc.Interface)
-	if !ok {
-		m.opts.Logger.Warn("wsmap: no USDL document", "interface", svc.Interface)
-		return
-	}
-	m.mu.Lock()
-	m.nextID++
-	localID := fmt.Sprintf("svc-%d", m.nextID)
-	m.mu.Unlock()
-	profile := core.Profile{
-		ID:         core.MakeTranslatorID(m.imp.Node(), Platform, localID),
-		Name:       svc.Name,
-		Platform:   Platform,
-		DeviceType: svc.Interface,
-		Node:       m.imp.Node(),
-		Attributes: map[string]string{"base": baseURL},
-	}
-	client := m.client
-	serviceName := svc.Name
+// describe builds the driver that unwraps an XML request document,
+// performs the HTTP invocation and wraps the results as a response.
+func (m *Mapper) describe(_ context.Context, _ string, s service) (mapper.Desc, error) {
+	client, baseURL, name := m.client, s.baseURL, s.decl.Name
 	driver := usdl.DriverFunc(func(ctx context.Context, action string, args map[string]string, payload []byte) ([]byte, error) {
 		if action != "invoke" {
 			return nil, fmt.Errorf("wsmap: unknown action %q", action)
@@ -204,7 +128,7 @@ func (m *Mapper) mapService(baseURL string, svc webservice.ServiceDecl) {
 		for _, p := range req.Params {
 			params[p.Name] = p.Value
 		}
-		out, err := client.Invoke(ctx, baseURL, serviceName, req.Method, params)
+		out, err := client.Invoke(ctx, baseURL, name, req.Method, params)
 		if err != nil {
 			return nil, err
 		}
@@ -214,37 +138,12 @@ func (m *Mapper) mapService(baseURL string, svc webservice.ServiceDecl) {
 		}
 		return xml.Marshal(resp)
 	})
-	gt, err := usdl.NewGenericTranslator(profile, svcDef, driver)
-	if err != nil {
-		return
-	}
-	if err := m.imp.ImportTranslator(gt); err != nil {
-		gt.Close()
-		return
-	}
-	m.mu.Lock()
-	m.mapped[key] = profile.ID
-	m.mu.Unlock()
-	s := mapper.Sample{
-		Platform:   Platform,
-		DeviceType: svc.Interface,
-		Duration:   time.Since(start),
-		Ports:      gt.Profile().Shape.Len(),
-	}
-	m.opts.Recorder.Record(s)
-	mapper.ObserveMapped(mapper.RegistryOf(m.imp), m.imp.Node(), s)
-	m.opts.Logger.Info("wsmap: mapped", "service", key, "id", profile.ID)
-}
-
-// MappedCount returns the number of currently mapped services.
-func (m *Mapper) MappedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, id := range m.mapped {
-		if id != "" {
-			n++
-		}
-	}
-	return n
+	return mapper.Desc{
+		Profile: core.Profile{
+			Name:       name,
+			DeviceType: s.decl.Interface,
+			Attributes: map[string]string{"base": baseURL},
+		},
+		Driver: driver,
+	}, nil
 }

@@ -112,21 +112,6 @@ func TestBadRequestDocumentRejected(t *testing.T) {
 	}
 }
 
-func TestUnregisterUnmaps(t *testing.T) {
-	net, ws := newWSWorld(t)
-	ws.Register("svc", "xml-rpc", func(string, map[string]string) (map[string]string, error) {
-		return nil, nil
-	})
-	_, imp := startMapper(t, net, []string{ws.URL()})
-	if err := imp.WaitCount(1, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	ws.Unregister("svc")
-	if err := imp.WaitCount(0, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMultipleHosts(t *testing.T) {
 	net, ws1 := newWSWorld(t)
 	ws2, err := webservice.NewHost(net.MustAddHost("ws-dev-2"), 0)

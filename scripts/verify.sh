@@ -2,7 +2,8 @@
 # Repo verification: tier-1 build+test, vet, the race detector over the
 # concurrency-heavy packages (transport redial cycles, directory
 # announce loops, netemu fault injection, obs registry, the mapper
-# supervisor) plus the integration soak and crash/restart chaos cycle,
+# supervisor, the mapper reconciler, its conformance suite and the six
+# platform mappers) plus the integration soak and crash/restart chaos cycle,
 # the repo benchmark's own tests (a module of its own under benchmark/),
 # a repeat of the two tier-1 tests that used to flake, a 5-second fuzz
 # smoke per wire-codec target, a one-iteration
@@ -21,6 +22,9 @@ if [ -n "${VERIFY_SHORT:-}" ]; then
 fi
 
 go build ./...
+# Size of the root module's non-test Go code, so each change's growth or
+# reduction is on record.
+echo "non-test Go lines: $(find . \( -path ./benchmark -o -name '.?*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 go vet ./...
 # Non-race pass. It includes the deliver path's allocation budget
 # (TestDeliverPathAllocationBudget, built only without -race: the
@@ -32,7 +36,7 @@ go test -C benchmark ./...
 # wait; two timing loops a load spike could hit unevenly): five more
 # runs each so a regression of either fix shows.
 go test -count=5 -run 'TestFigure5CameraToTVAcrossNodes|TestRunSec52UPnPSmoke' ./internal/integration ./internal/bench
-go test -race ./internal/core/ ./internal/obs/ ./internal/transport/ ./internal/directory/ ./internal/netemu/ ./internal/runtime/ ./internal/qos/ ./internal/load/ ./internal/wal/
+go test -race ./internal/core/ ./internal/obs/ ./internal/transport/ ./internal/directory/ ./internal/netemu/ ./internal/runtime/ ./internal/qos/ ./internal/load/ ./internal/wal/ ./internal/mapper/... ./internal/mappers/...
 # Lookup and Resolve share sealed profiles with concurrent writers: more
 # race-detector passes over the read-path equivalence and sharing tests.
 go test -race -count=3 -run 'Equivalence|Concurrent' ./internal/directory
