@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"maps"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -143,6 +144,18 @@ func FuzzFrameRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x80, 0, 0, 2, 1, 1})
+	// Every frame type exactly as its sender encodes it.
+	vectors, err := filepath.Glob(filepath.Join("testdata", "golden", "*.hex"))
+	if err != nil || len(vectors) == 0 {
+		f.Fatalf("no golden vectors: %v", err)
+	}
+	for _, path := range vectors {
+		vec, err := readGolden(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(vec)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := decodeBothWays(t, data)
