@@ -9,6 +9,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/netemu"
 	"repro/internal/obs"
+	"repro/internal/qos"
 )
 
 // DirScaleMeshRow is one point of the federated-mesh variant of the
@@ -136,7 +137,7 @@ func newMeshWorld(nodes int, cadence time.Duration) (*meshWorld, error) {
 		w.regs[i] = obs.NewRegistry()
 		w.dirs[i] = directory.New(names[i], net.Host(names[i]), directory.Options{
 			AnnounceInterval: cadence,
-			ExpiryFactor:     meshExpiryFactor,
+			Lease:            qos.LeasePolicy{ExpiryFactor: meshExpiryFactor},
 			Interest:         true,
 			Relay:            true,
 			RelayTTL:         meshRelayTTL,
@@ -194,7 +195,7 @@ func meshJoin(w *meshWorld, joinerExpect int) (time.Duration, error) {
 	}
 	late := directory.New("late", w.net.Host("late"), directory.Options{
 		AnnounceInterval: w.cadence,
-		ExpiryFactor:     meshExpiryFactor,
+		Lease:            qos.LeasePolicy{ExpiryFactor: meshExpiryFactor},
 		Interest:         true,
 		RelayTTL:         meshRelayTTL,
 		Zone:             "zone-late",

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/netemu"
+	"repro/internal/qos"
 	"repro/umiddle"
 )
 
@@ -151,7 +152,7 @@ func RunRestart(entries int, logf func(string, ...any)) (RestartRow, error) {
 		}
 		dirs[i] = directory.New(name, host, directory.Options{
 			AnnounceInterval: restartAnnounce,
-			ExpiryFactor:     restartExpiryFactor,
+			Lease:            qos.LeasePolicy{ExpiryFactor: restartExpiryFactor},
 		})
 		if err := dirs[i].Start(); err != nil {
 			return row, err

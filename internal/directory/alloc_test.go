@@ -30,7 +30,7 @@ func TestLookupAllocationBudget(t *testing.T) {
 			p.Attributes = map[string]string{"room": fmt.Sprintf("room-%d", i%50)}
 			profiles = append(profiles, p)
 		}
-		d.handleAdvert(advert{Type: "add", Node: "h2", Profiles: profiles})
+		d.handleAdvert(advert{Type: "add", Node: "h2", Zone: "h2", Profiles: profiles})
 	}
 	if _, remote := d.Size(); remote != population {
 		t.Fatalf("population = %d, want %d", remote, population)

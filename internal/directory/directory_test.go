@@ -9,11 +9,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netemu"
+	"repro/internal/qos"
 )
 
 // fastOpts keeps the announce cadence quick so tests converge fast.
 func fastOpts() Options {
-	return Options{AnnounceInterval: 20 * time.Millisecond, ExpiryFactor: 4}
+	return Options{AnnounceInterval: 20 * time.Millisecond, Lease: qos.LeasePolicy{ExpiryFactor: 4}}
 }
 
 func testProfile(node, local string) core.Profile {

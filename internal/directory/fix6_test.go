@@ -79,8 +79,8 @@ func TestSelfAndEmptyNodeAdvertsRejected(t *testing.T) {
 	}
 	before := d.met.malformed.Value()
 
-	d.handleAdvert(advert{Type: "announce", Node: "", Profiles: []core.Profile{remoteProfile("", "anon")}})
-	d.handleAdvert(advert{Type: "announce", Node: "h1", Profiles: []core.Profile{remoteProfile("h1", "spoof")}})
+	d.handleAdvert(advert{Type: "announce", Node: "", Zone: "anon", Profiles: []core.Profile{remoteProfile("", "anon")}})
+	d.handleAdvert(advert{Type: "announce", Node: "h1", Zone: "h1", Profiles: []core.Profile{remoteProfile("h1", "spoof")}})
 	d.handleAdvert(advert{Type: "heartbeat", Node: "", LeaseMillis: 80, Version: 1, Fp: 9})
 	d.handleAdvert(advert{Type: "bye", Node: "h1"})
 

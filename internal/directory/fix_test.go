@@ -43,13 +43,13 @@ func TestReannounceChangedProfileNotifies(t *testing.T) {
 	d.AddListener(rec)
 
 	p1 := remoteProfile("h2", "tv")
-	d.handleAdvert(advert{Type: "announce", Node: "h2", Profiles: []core.Profile{p1}})
+	d.handleAdvert(advert{Type: "announce", Node: "h2", Zone: "h2", Profiles: []core.Profile{p1}})
 	if m, _ := rec.counts(); m != 1 {
 		t.Fatalf("mapped = %d after first announce, want 1", m)
 	}
 
 	// Identical re-announce: the periodic heartbeat must stay silent.
-	d.handleAdvert(advert{Type: "announce", Node: "h2", Profiles: []core.Profile{p1}})
+	d.handleAdvert(advert{Type: "announce", Node: "h2", Zone: "h2", Profiles: []core.Profile{p1}})
 	if m, _ := rec.counts(); m != 1 {
 		t.Fatalf("mapped = %d after identical re-announce, want 1 (no spurious notify)", m)
 	}
@@ -59,7 +59,7 @@ func TestReannounceChangedProfileNotifies(t *testing.T) {
 		core.Port{Name: "out", Kind: core.Digital, Direction: core.Output, Type: "text/plain"},
 		core.Port{Name: "image-in", Kind: core.Digital, Direction: core.Input, Type: "image/jpeg"},
 	)
-	d.handleAdvert(advert{Type: "announce", Node: "h2", Profiles: []core.Profile{p2}})
+	d.handleAdvert(advert{Type: "announce", Node: "h2", Zone: "h2", Profiles: []core.Profile{p2}})
 	if m, _ := rec.counts(); m != 2 {
 		t.Fatalf("mapped = %d after changed re-announce, want 2 (update notification)", m)
 	}
@@ -96,7 +96,7 @@ func TestLookupSortedByNodeID(t *testing.T) {
 		}
 	}
 	for _, nl := range [][2]string{{"h2", "zz"}, {"h0", "mm"}, {"h2", "aa"}, {"h0", "bb"}} {
-		d.handleAdvert(advert{Type: "announce", Node: nl[0], Profiles: []core.Profile{remoteProfile(nl[0], nl[1])}})
+		d.handleAdvert(advert{Type: "announce", Node: nl[0], Zone: nl[0], Profiles: []core.Profile{remoteProfile(nl[0], nl[1])}})
 	}
 
 	// Repeat to catch map-order luck: a random order passes one draw
@@ -356,7 +356,7 @@ func TestLookupCacheEquivalenceProperty(t *testing.T) {
 			delete(live, p.ID)
 		} else {
 			p := remoteProfile("h2", name, portSets[int(pi)%len(portSets)]...)
-			d.handleAdvert(advert{Type: "announce", Node: "h2", Profiles: []core.Profile{p}})
+			d.handleAdvert(advert{Type: "announce", Node: "h2", Zone: "h2", Profiles: []core.Profile{p}})
 			live[p.ID] = p
 		}
 		for _, q := range queries {

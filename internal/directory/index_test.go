@@ -288,11 +288,11 @@ func runIndexEquivalence(t *testing.T, seed int64) equivStats {
 			for i := 0; i < n; i++ {
 				profiles = append(profiles, equivProfileFor(node, rng.Intn(slots), rng.Intn(len(equivPortSets))))
 			}
-			applyRemote(advert{Type: typ, Node: node, Profiles: profiles, Version: uint64(step), Fp: rng.Uint64()})
+			applyRemote(advert{Type: typ, Node: node, Zone: node, Profiles: profiles, Version: uint64(step), Fp: rng.Uint64()})
 		case 5: // re-announce with a changed shape under a stable ID
 			node := remoteNodes[rng.Intn(len(remoteNodes))]
 			p := equivProfileFor(node, rng.Intn(slots), rng.Intn(len(equivPortSets)))
-			applyRemote(advert{Type: "announce", Node: node, Profiles: []core.Profile{p}})
+			applyRemote(advert{Type: "announce", Node: node, Zone: node, Profiles: []core.Profile{p}})
 		case 6: // remote remove
 			node := remoteNodes[rng.Intn(len(remoteNodes))]
 			id := core.MakeTranslatorID(node, "umiddle", fmt.Sprintf("dev-%d", rng.Intn(slots)))
@@ -304,15 +304,16 @@ func runIndexEquivalence(t *testing.T, seed int64) equivStats {
 			for i := 0; i < n; i++ {
 				profiles = append(profiles, equivProfileFor(node, rng.Intn(slots), rng.Intn(len(equivPortSets))))
 			}
-			applyRemote(advert{Type: "sync", Node: node, Profiles: profiles, Version: uint64(step), Fp: rng.Uint64()})
+			applyRemote(advert{Type: "sync", Node: node, Zone: node, Profiles: profiles, Version: uint64(step), Fp: rng.Uint64()})
 		case 8: // node crash (bye is the deterministic stand-in for lease lapse)
 			node := remoteNodes[rng.Intn(len(remoteNodes))]
 			applyRemote(advert{Type: "bye", Node: node})
 		case 9: // spoofed provenance: advert node differs from profile node
+			// (labeled with the owner's zone, as a relay speaking for it does)
 			from := remoteNodes[rng.Intn(len(remoteNodes))]
 			owner := remoteNodes[rng.Intn(len(remoteNodes))]
 			p := equivProfileFor(owner, rng.Intn(slots), rng.Intn(len(equivPortSets)))
-			applyRemote(advert{Type: "announce", Node: from, Profiles: []core.Profile{p}})
+			applyRemote(advert{Type: "announce", Node: from, Zone: owner, Profiles: []core.Profile{p}})
 		case 10: // a device leaving and rejoining under the same ID
 			if localSlot == 0 {
 				return
@@ -411,7 +412,7 @@ func TestIndexSizeGauge(t *testing.T) {
 	if err := d.AddLocal(testTranslator(t, "h1", "a")); err != nil {
 		t.Fatalf("AddLocal: %v", err)
 	}
-	d.handleAdvert(advert{Type: "announce", Node: "h2", Profiles: []core.Profile{remoteProfile("h2", "tv")}})
+	d.handleAdvert(advert{Type: "announce", Node: "h2", Zone: "h2", Profiles: []core.Profile{remoteProfile("h2", "tv")}})
 	d.Lookup(core.Query{}) // force a snapshot build
 	g := d.Obs().Gauge("umiddle_directory_index_size", obs.Labels{"node": "h1"})
 	if g.Value() != 2 {
@@ -494,11 +495,11 @@ func TestConcurrentLookupSharesSealedProfiles(t *testing.T) {
 			p := equivProfileFor(node, rng.Intn(6), rng.Intn(len(equivPortSets)))
 			switch rng.Intn(4) {
 			case 0, 1:
-				d.handleAdvert(advert{Type: "announce", Node: node, Profiles: []core.Profile{p}})
+				d.handleAdvert(advert{Type: "announce", Node: node, Zone: node, Profiles: []core.Profile{p}})
 			case 2:
 				d.handleAdvert(advert{Type: "remove", Node: node, Removed: []core.TranslatorID{p.ID}})
 			case 3:
-				d.handleAdvert(advert{Type: "sync", Node: node, Profiles: []core.Profile{p}})
+				d.handleAdvert(advert{Type: "sync", Node: node, Zone: node, Profiles: []core.Profile{p}})
 			}
 		}
 	}()

@@ -123,7 +123,7 @@ func TestFilteredVisibilityMatchesUnfiltered(t *testing.T) {
 			for i := range population {
 				ps[i] = population[i].Clone()
 			}
-			d.handleAdvert(advert{Type: "announce", Node: "h2", Profiles: ps})
+			d.handleAdvert(advert{Type: "announce", Node: "h2", Zone: "h2", Profiles: ps})
 		}
 		deliver(plain)
 		deliver(filtered)
@@ -222,8 +222,8 @@ func TestInterestFilteringConvergesAndAdapts(t *testing.T) {
 }
 
 // TestUnfilteredPeerKeepsFullView: egress filtering must disengage
-// while any live peer has not declared a concrete interest — a legacy
-// or just-joined node keeps receiving everything.
+// while any live peer has not declared a concrete interest — an
+// unfiltered or just-joined node keeps receiving everything.
 func TestUnfilteredPeerKeepsFullView(t *testing.T) {
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()

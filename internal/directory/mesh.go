@@ -127,17 +127,11 @@ func (d *Directory) relay(a advert) {
 	if slices.Contains(a.Via, d.node) {
 		return // already traveled through us
 	}
-	ttl := a.TTL
-	if ttl == 0 {
-		// The origin was not mesh-configured; grant our own budget so
-		// legacy senders still cross segments.
-		ttl = d.opts.RelayTTL
-	}
-	if ttl <= 1 {
+	if a.TTL <= 1 {
 		d.met.relayTTLDrop.Inc()
 		return
 	}
-	a.TTL = ttl - 1
+	a.TTL--
 	a.Via = append(slices.Clone(a.Via), d.node)
 
 	d.mu.RLock()
@@ -173,9 +167,8 @@ func (d *Directory) relay(a advert) {
 // every zone from its owner across the full relay path — O(zones ×
 // hops) re-marshals dominate join time on long chains — while the
 // adjacent relay already holds the joiner's interest subset of every
-// zone, one hop away. Rate-limited per peer to one bootstrap per lease
-// so a pre-delta neighbor's periodic full announces don't retrigger it
-// every interval.
+// zone, one hop away. Rate-limited per peer to one bootstrap per lease,
+// so a neighbor that rejoins repeatedly is not re-served every time.
 func (d *Directory) maybeBootstrap(peer string) {
 	if !d.opts.Relay {
 		return
@@ -195,14 +188,13 @@ func (d *Directory) maybeBootstrap(peer string) {
 }
 
 // bootstrapNeighbor replays this node's held remote zones onto its
-// links as merge-semantics announces, one per owning node — a secondary
+// links as "bootstrap" adverts, one per owning node — a secondary
 // serving a zone transfer on the owner's behalf. Each advert carries
 // the owner's zone, this node's lease promise (we hold a live lease on
 // the owner and keep vouching while it announces), and a Via
 // reconstructing the true relay path so receivers learn a usable route
-// toward the owner. No digest claims ride along (Version, Fp, Ifps all
-// zero): receivers merge the profiles and reconcile later against the
-// owner's own heartbeats.
+// toward the owner. No digest claims ride along: receivers merge the
+// profiles and reconcile later against the owner's own heartbeats.
 func (d *Directory) bootstrapNeighbor(peer string) {
 	type zoneBatch struct {
 		zone     string
@@ -216,7 +208,7 @@ func (d *Directory) bootstrapNeighbor(peer string) {
 	}
 	group := d.group
 	// The peer's declared interest bounds what it would integrate; no
-	// declared summary (legacy peer, or interested in everything) is
+	// declared summary (not yet heard, or interested in everything) is
 	// served our full held state.
 	var sum *InterestSummary
 	if fp, ok := d.peerSum[peer]; ok {
@@ -235,7 +227,7 @@ func (d *Directory) bootstrapNeighbor(peer string) {
 		}
 		b := batches[owner]
 		if b == nil {
-			b = &zoneBatch{zone: d.zones[owner]}
+			b = &zoneBatch{zone: d.zoneOfLocked(owner)}
 			// Reconstruct the path an advert from the owner travels to
 			// reach this link (our stored route reversed, ourselves last)
 			// so receivers learn the true next-hop route.
@@ -253,7 +245,7 @@ func (d *Directory) bootstrapNeighbor(peer string) {
 	d.mu.RUnlock()
 	for owner, b := range batches {
 		d.sendUnnumbered(group, advert{
-			Type: "announce", Node: owner, Zone: b.zone,
+			Type: "bootstrap", Node: owner, Zone: b.zone,
 			Profiles:    b.profiles,
 			LeaseMillis: int64(lease / time.Millisecond),
 			Via:         b.via,
@@ -290,14 +282,20 @@ func (d *Directory) sendUnnumbered(group *netemu.GroupConn, a advert) {
 // Zone returns the namespace zone this node owns.
 func (d *Directory) Zone() string { return d.zone }
 
-// ZoneOf returns the zone a node advertises (its node name when it
-// never claimed one — the pre-federation default).
+// ZoneOf returns the zone a node advertises: the default zone, its node
+// name, for a node not heard from (or, after a warm restart, one whose
+// zone is that default).
 func (d *Directory) ZoneOf(node string) string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.zoneOfLocked(node)
+}
+
+// zoneOfLocked is ZoneOf with d.mu held.
+func (d *Directory) zoneOfLocked(node string) string {
 	if node == d.node {
 		return d.zone
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	if z, ok := d.zones[node]; ok {
 		return z
 	}
@@ -358,11 +356,8 @@ func (d *Directory) Zones() []ZoneSummary {
 	})
 	for node, st := range d.nodes {
 		zs := ZoneSummary{
-			Zone: node, Node: node,
+			Zone: d.zoneOfLocked(node), Node: node,
 			Version: st.version, Fp: d.nodeFP[node], Entries: perNode[node],
-		}
-		if z, ok := d.zones[node]; ok {
-			zs.Zone = z
 		}
 		if rt := d.routes[node]; rt != nil && len(rt.hops) > 0 {
 			zs.Via = slices.Clone(rt.hops)

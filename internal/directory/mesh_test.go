@@ -406,29 +406,107 @@ func TestZoneScopedReconcile(t *testing.T) {
 	}
 }
 
+// TestZonelessProfileAdvertMalformed: every profile-carrying advert
+// names the zone its entries belong to. One without is counted malformed
+// and changes nothing: population, digests, liveness and zone labels
+// stay as they were.
+func TestZonelessProfileAdvertMalformed(t *testing.T) {
+	d := New("h1", nil, Options{})
+	defer d.Close()
+	d.handleAdvert(advert{Type: "announce", Node: "h2", Zone: "z2", Profiles: []core.Profile{testProfile("h2", "tv")}})
+	malformed := d.Obs().Counter("umiddle_directory_adverts_malformed_total", obs.Labels{"node": "h1"})
+	state := func() string {
+		d.mu.RLock()
+		fps := fmt.Sprint(d.nodeFP)
+		d.mu.RUnlock()
+		return fmt.Sprint(d.Lookup(core.Query{}), fps, d.Nodes(), d.ZoneOf("h2"), d.ZoneOf("h3"))
+	}
+	before, bad := state(), malformed.Value()
+	for _, typ := range []string{"announce", "add", "sync", "bootstrap"} {
+		for _, node := range []string{"h2", "h3"} {
+			d.handleAdvert(advert{Type: typ, Node: node, LeaseMillis: 80, Version: 9, Fp: 7,
+				Profiles: []core.Profile{testProfile(node, "cam")}})
+			bad++
+			if got := malformed.Value(); got != bad {
+				t.Fatalf("zone-less %s from %s: malformed = %d, want %d", typ, node, got, bad)
+			}
+			if after := state(); after != before {
+				t.Fatalf("zone-less %s from %s changed state:\n before %s\n after  %s", typ, node, before, after)
+			}
+		}
+	}
+}
+
+// TestBootstrapAdvertIsMergeOnly: a bootstrap speaks for its owner
+// without the owner's digest. The receiver merges its profiles and renews
+// the owner's lease, and does nothing else: no sync_req to the owner
+// (which would cross the mesh), no relay, no bootstrap in reply. The
+// advert type decides this, not absent fields: an announce carrying no
+// digest is compared like any other and requests a sync.
+func TestBootstrapAdvertIsMergeOnly(t *testing.T) {
+	net := netemu.NewNetwork(netemu.Unlimited())
+	defer net.Close()
+	d := New("late", net.MustAddHost("late"), Options{AnnounceInterval: time.Hour, Relay: true, RelayTTL: 4})
+	defer d.Close()
+	d.Start()
+	// Held remote state, so a bootstrap reply would have something to serve.
+	d.handleAdvert(advert{Type: "announce", Node: "c", Zone: "c", Profiles: []core.Profile{testProfile("c", "mic")}})
+	reqs := sentCount(d, "sync_req")
+	cam := testProfile("a", "cam")
+	d.handleAdvert(advert{Type: "bootstrap", Node: "a", Zone: "zoneA", Profiles: []core.Profile{cam},
+		LeaseMillis: 80, Via: []string{"b"}})
+	if _, err := d.Resolve(cam.ID); err != nil {
+		t.Fatalf("bootstrap not merged: %v", err)
+	}
+	if hops, ok := d.Route("a"); !ok || len(hops) != 1 || hops[0] != "b" {
+		t.Fatalf("Route(a) = %v, %v; want [b]", hops, ok)
+	}
+	if z := d.ZoneOf("a"); z != "zoneA" {
+		t.Fatalf("ZoneOf(a) = %q, want zoneA", z)
+	}
+	counter := func(name string) uint64 {
+		return d.Obs().Counter(name, obs.Labels{"node": "late"}).Value()
+	}
+	if n := sentCount(d, "sync_req") - reqs; n != 0 {
+		t.Fatalf("bootstrap provoked %d sync_req, want 0", n)
+	}
+	if n := counter("umiddle_directory_adverts_relayed_total"); n != 0 {
+		t.Fatalf("bootstrap relayed %d times, want 0", n)
+	}
+	if n := counter("umiddle_directory_relay_ttl_dropped_total"); n != 0 {
+		t.Fatalf("bootstrap reached the relay TTL check %d times, want 0", n)
+	}
+	d.mu.RLock()
+	answered := !d.nodes["a"].lastBootstrap.IsZero()
+	d.mu.RUnlock()
+	if answered {
+		t.Fatal("bootstrap answered with a bootstrap")
+	}
+	d.handleAdvert(advert{Type: "announce", Node: "a", Zone: "zoneA", Profiles: []core.Profile{cam}, Via: []string{"b"}})
+	if n := sentCount(d, "sync_req") - reqs; n != 1 {
+		t.Fatalf("a digest-less announce sent %d sync_req, want 1", n)
+	}
+}
+
 // TestSingleZoneEquivalenceProperty: over randomized advert workloads, a
-// directory in the default single-zone-per-node mesh configuration
-// (explicit Zone = node name, relay on) must hold exactly the state a
-// legacy directory holds from the same advert stream, whether or not
-// the stream itself carries zone labels — the zone-scoped anti-entropy
-// degenerates to today's global protocol when every node owns one zone.
+// directory in the single-zone-per-node mesh configuration (explicit
+// Zone = node name, relay on) must hold exactly the state a plain
+// directory (default zone, no relay) holds from the same advert stream,
+// in which every sender stamps its own zone — the zone-scoped
+// anti-entropy degenerates to the global protocol when every node owns
+// one zone.
 func TestSingleZoneEquivalenceProperty(t *testing.T) {
 	nodes := []string{"r1", "r2", "r3"}
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
-		legacy := New("h1", nil, Options{})
+		plain := New("h1", nil, Options{})
 		zoned := New("h1", nil, Options{Zone: "h1", Relay: true, RelayTTL: 4})
 		apply := func(a advert) {
-			legacy.handleAdvert(a)
+			plain.handleAdvert(a)
 			zoned.handleAdvert(a)
 		}
 		for step := 0; step < 120; step++ {
 			node := nodes[rng.Intn(len(nodes))]
-			// Half the senders stamp their default zone, half are legacy.
-			zone := ""
-			if rng.Intn(2) == 0 {
-				zone = node
-			}
 			switch rng.Intn(6) {
 			case 0, 1:
 				n := 1 + rng.Intn(3)
@@ -436,45 +514,45 @@ func TestSingleZoneEquivalenceProperty(t *testing.T) {
 				for i := 0; i < n; i++ {
 					ps = append(ps, testProfile(node, fmt.Sprintf("dev-%d", rng.Intn(6))))
 				}
-				apply(advert{Type: "announce", Node: node, Zone: zone, Profiles: ps, Version: uint64(step), Fp: rng.Uint64()})
+				apply(advert{Type: "announce", Node: node, Zone: node, Profiles: ps, Version: uint64(step), Fp: rng.Uint64()})
 			case 2:
 				id := core.MakeTranslatorID(node, "umiddle", fmt.Sprintf("dev-%d", rng.Intn(6)))
-				apply(advert{Type: "remove", Node: node, Zone: zone, Removed: []core.TranslatorID{id}})
+				apply(advert{Type: "remove", Node: node, Zone: node, Removed: []core.TranslatorID{id}})
 			case 3:
 				n := rng.Intn(3)
 				ps := make([]core.Profile, 0, n)
 				for i := 0; i < n; i++ {
 					ps = append(ps, testProfile(node, fmt.Sprintf("dev-%d", rng.Intn(6))))
 				}
-				apply(advert{Type: "sync", Node: node, Zone: zone, Profiles: ps, Version: uint64(step), Fp: rng.Uint64()})
+				apply(advert{Type: "sync", Node: node, Zone: node, Profiles: ps, Version: uint64(step), Fp: rng.Uint64()})
 			case 4:
-				apply(advert{Type: "heartbeat", Node: node, Zone: zone, Version: uint64(step), Fp: rng.Uint64()})
+				apply(advert{Type: "heartbeat", Node: node, Zone: node, Version: uint64(step), Fp: rng.Uint64()})
 			case 5:
-				apply(advert{Type: "bye", Node: node})
+				apply(advert{Type: "bye", Node: node, Zone: node})
 			}
 		}
-		ql, qz := legacy.Lookup(core.Query{}), zoned.Lookup(core.Query{})
-		if len(ql) != len(qz) {
-			t.Fatalf("trial %d: legacy holds %d profiles, zoned %d", trial, len(ql), len(qz))
+		qp, qz := plain.Lookup(core.Query{}), zoned.Lookup(core.Query{})
+		if len(qp) != len(qz) {
+			t.Fatalf("trial %d: plain holds %d profiles, zoned %d", trial, len(qp), len(qz))
 		}
-		for i := range ql {
-			if ql[i].ID != qz[i].ID || ql[i].Node != qz[i].Node {
-				t.Fatalf("trial %d: population diverged at %d: %s vs %s", trial, i, ql[i].ID, qz[i].ID)
+		for i := range qp {
+			if qp[i].ID != qz[i].ID || qp[i].Node != qz[i].Node {
+				t.Fatalf("trial %d: population diverged at %d: %s vs %s", trial, i, qp[i].ID, qz[i].ID)
 			}
 		}
-		nl, nz := legacy.Nodes(), zoned.Nodes()
-		if fmt.Sprint(nl) != fmt.Sprint(nz) {
-			t.Fatalf("trial %d: live nodes diverged: %v vs %v", trial, nl, nz)
+		np, nz := plain.Nodes(), zoned.Nodes()
+		if fmt.Sprint(np) != fmt.Sprint(nz) {
+			t.Fatalf("trial %d: live nodes diverged: %v vs %v", trial, np, nz)
 		}
 		// Digest bookkeeping must agree too: same per-node fingerprints.
-		legacy.mu.RLock()
+		plain.mu.RLock()
 		zoned.mu.RLock()
-		if fmt.Sprint(legacy.nodeFP) != fmt.Sprint(zoned.nodeFP) {
-			t.Fatalf("trial %d: node digests diverged: %v vs %v", trial, legacy.nodeFP, zoned.nodeFP)
+		if fmt.Sprint(plain.nodeFP) != fmt.Sprint(zoned.nodeFP) {
+			t.Fatalf("trial %d: node digests diverged: %v vs %v", trial, plain.nodeFP, zoned.nodeFP)
 		}
-		legacy.mu.RUnlock()
+		plain.mu.RUnlock()
 		zoned.mu.RUnlock()
-		legacy.Close()
+		plain.Close()
 		zoned.Close()
 	}
 }

@@ -29,8 +29,8 @@ type persistEpoch struct {
 }
 
 // persistLocal journals one sealed local profile. Fp is stored for exact
-// digest continuity (it is recomputable, but the stored value is what the
-// pre-restart incarnation announced).
+// digest continuity: it is what the previous incarnation announced.
+// Replay skips a record without one.
 type persistLocal struct {
 	Profile core.Profile `json:"profile"`
 	Fp      uint64       `json:"fp,omitempty"`
@@ -41,8 +41,9 @@ type persistRemove struct {
 }
 
 // persistRemoteEntry snapshots one remote entry: the local (possibly
-// remapped) view plus the wire identity and fingerprint the anti-entropy
-// digests are computed over.
+// remapped) view plus the wire identity, zone and fingerprint the
+// anti-entropy digests are computed over. Replay skips an entry that
+// lacks any of the three.
 type persistRemoteEntry struct {
 	Profile core.Profile      `json:"profile"`
 	WireID  core.TranslatorID `json:"wire_id,omitempty"`
@@ -165,15 +166,15 @@ func (d *Directory) replayWAL() {
 			d.opts.Logger.Warn("directory: bad persisted local shape", "id", p.ID, "err", err)
 			continue
 		}
-		fp := pl.Fp
-		if fp == 0 {
-			fp = p.Fingerprint()
+		if pl.Fp == 0 {
+			d.opts.Logger.Warn("directory: persisted local entry without fingerprint", "id", p.ID)
+			continue
 		}
 		// translator == nil marks the entry warm: announced and resolvable,
 		// but not yet re-claimed by its mapper. AddLocal re-attaches it
 		// silently; unclaimed entries are dropped after the restart grace.
-		d.local[p.ID] = localEntry{profile: p, translator: nil, fp: fp}
-		d.localFP ^= fp
+		d.local[p.ID] = localEntry{profile: p, translator: nil, fp: pl.Fp}
+		d.localFP ^= pl.Fp
 		d.replayed.Locals++
 	}
 	for _, re := range st.Remotes {
@@ -182,22 +183,12 @@ func (d *Directory) replayWAL() {
 			d.opts.Logger.Warn("directory: bad persisted remote shape", "id", p.ID, "err", err)
 			continue
 		}
-		wireID := re.WireID
-		if wireID == "" {
-			wireID = p.ID
+		if re.WireID == "" || re.Zone == "" || re.Fp == 0 {
+			d.opts.Logger.Warn("directory: incomplete persisted remote entry", "id", p.ID)
+			continue
 		}
-		zone := re.Zone
-		if zone == "" {
-			zone = p.Node
-		}
-		fp := re.Fp
-		if fp == 0 {
-			wp := p
-			wp.ID = wireID
-			fp = wp.Fingerprint()
-		}
-		d.remote[p.ID] = remoteEntry{profile: p, seen: now, fp: fp, wireID: wireID, zone: zone}
-		d.xorNodeFP(p.Node, fp)
+		d.remote[p.ID] = remoteEntry{profile: p, seen: now, fp: re.Fp, wireID: re.WireID, zone: re.Zone}
+		d.xorNodeFP(p.Node, re.Fp)
 		d.ownerAdd(p.Node)
 		d.replayed.Remotes++
 	}

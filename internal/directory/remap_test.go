@@ -215,7 +215,7 @@ func TestNodeWideACLDenyRejectsBeforeLiveness(t *testing.T) {
 	d := New("h1", nil, opts)
 	defer d.Close()
 	before := d.met.aclDenied.Value()
-	d.handleAdvert(advert{Type: "announce", Node: "intruder", Profiles: []core.Profile{remoteProfile("intruder", "mole")}, LeaseMillis: 80})
+	d.handleAdvert(advert{Type: "announce", Node: "intruder", Zone: "intruder", Profiles: []core.Profile{remoteProfile("intruder", "mole")}, LeaseMillis: 80})
 	d.handleAdvert(advert{Type: "heartbeat", Node: "intruder", LeaseMillis: 80, Version: 1, Fp: 7})
 	if _, r := d.Size(); r != 0 {
 		t.Fatal("denied node planted remote state")

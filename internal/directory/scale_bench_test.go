@@ -43,7 +43,7 @@ func populate(b *testing.B, d *Directory, local, remote int) {
 	}
 	for i := 0; i < remote; i++ {
 		node := fmt.Sprintf("peer-%d", i%4)
-		d.handleAdvert(advert{Type: "announce", Node: node, Profiles: []core.Profile{benchProfile(node, local+i)}})
+		d.handleAdvert(advert{Type: "announce", Node: node, Zone: node, Profiles: []core.Profile{benchProfile(node, local+i)}})
 	}
 }
 

@@ -37,7 +37,7 @@ func TestSyncReqBackoff(t *testing.T) {
 		d.mu.Lock()
 		before := d.nodes["n1"].lastSyncReq
 		d.mu.Unlock()
-		d.noteNodeState(diverged, true)
+		d.noteNodeState(diverged)
 		d.mu.Lock()
 		after := d.nodes["n1"].lastSyncReq
 		d.mu.Unlock()
@@ -97,7 +97,7 @@ func TestSyncReqBackoff(t *testing.T) {
 
 	// Convergence (digests agree) also clears the backoff, so the next
 	// fresh divergence is a new event.
-	d.noteNodeState(advert{Type: "heartbeat", Node: "n1", Version: 8}, true)
+	d.noteNodeState(advert{Type: "heartbeat", Node: "n1", Version: 8})
 	if got := wait(); got != 0 {
 		t.Fatalf("backoff after convergence = %v, want 0", got)
 	}

@@ -5,7 +5,8 @@
 # supervisor, the mapper reconciler, its conformance suite and the six
 # platform mappers) plus the integration soak and crash/restart chaos cycle,
 # the repo benchmark's own tests (a module of its own under benchmark/),
-# a repeat of the two tier-1 tests that used to flake, a 5-second fuzz
+# a repeat of the two tier-1 tests that used to flake, ten runs of the
+# directory's steady-state, sync_req-zone and golden-vector tests, a 5-second fuzz
 # smoke per wire-codec target, a one-iteration
 # benchharness smoke run with -json output, and a bench-regression gate
 # against the committed BENCH_*.json baselines.
@@ -36,6 +37,10 @@ go test -C benchmark ./...
 # wait; two timing loops a load spike could hit unevenly): five more
 # runs each so a regression of either fix shows.
 go test -count=5 -run 'TestFigure5CameraToTVAcrossNodes|TestRunSec52UPnPSmoke' ./internal/integration ./internal/bench
+# The steady-state test waits on events (settled digests, a heartbeat
+# count), the sync_req zone regression, and the golden wire vectors:
+# ten more runs each.
+go test -count=10 -run 'TestSteadyStateHeartbeatsOnly|TestGolden|TestSyncReqCarriesRequesterZone' ./internal/directory
 go test -race ./internal/core/ ./internal/obs/ ./internal/transport/ ./internal/directory/ ./internal/netemu/ ./internal/runtime/ ./internal/qos/ ./internal/load/ ./internal/wal/ ./internal/mapper/... ./internal/mappers/...
 # Lookup and Resolve share sealed profiles with concurrent writers: more
 # race-detector passes over the read-path equivalence and sharing tests.
