@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -104,36 +104,44 @@ func shapeHasMatch(s Shape, tmpl PortTemplate) bool {
 // length-prefixes every field (no delimiter collisions) and sorts
 // attribute keys, so it is safe to use as a memoization key.
 func (q Query) CacheKey() string {
-	var sb strings.Builder
-	field := func(s string) {
-		sb.WriteString(strconv.Itoa(len(s)))
-		sb.WriteByte(':')
-		sb.WriteString(s)
-	}
-	field(q.Platform)
-	field(q.DeviceType)
-	field(q.NameContains)
-	field(q.Node)
-	field(string(q.ExcludeID))
+	var buf [128]byte
+	return string(q.AppendCacheKey(buf[:0]))
+}
+
+// AppendCacheKey appends CacheKey's bytes to dst and returns the
+// extended slice. Hot paths build the key in a stack buffer and index
+// a map with string(key), which does not allocate.
+func (q Query) AppendCacheKey(dst []byte) []byte {
+	dst = appendKeyField(dst, q.Platform)
+	dst = appendKeyField(dst, q.DeviceType)
+	dst = appendKeyField(dst, q.NameContains)
+	dst = appendKeyField(dst, q.Node)
+	dst = appendKeyField(dst, string(q.ExcludeID))
 	for _, t := range q.Ports {
-		sb.WriteByte('p')
-		sb.WriteByte('0' + byte(t.Kind))
-		sb.WriteByte('0' + byte(t.Direction))
-		field(string(t.Type))
+		dst = append(dst, 'p', '0'+byte(t.Kind), '0'+byte(t.Direction))
+		dst = appendKeyField(dst, string(t.Type))
 	}
 	if len(q.Attributes) > 0 {
-		keys := make([]string, 0, len(q.Attributes))
+		var stack [8]string
+		keys := stack[:0]
 		for k := range q.Attributes {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		for _, k := range keys {
-			sb.WriteByte('a')
-			field(k)
-			field(q.Attributes[k])
+			dst = append(dst, 'a')
+			dst = appendKeyField(dst, k)
+			dst = appendKeyField(dst, q.Attributes[k])
 		}
 	}
-	return sb.String()
+	return dst
+}
+
+// appendKeyField appends one length-prefixed CacheKey field.
+func appendKeyField(dst []byte, s string) []byte {
+	dst = strconv.AppendInt(dst, int64(len(s)), 10)
+	dst = append(dst, ':')
+	return append(dst, s...)
 }
 
 // Summarize strips the criteria that do not belong in a shared interest

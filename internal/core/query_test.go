@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -271,6 +272,43 @@ func TestQueryCacheKeyDistinguishesFields(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		if q1.CacheKey() != q2.CacheKey() {
 			t.Fatal("cache key depends on attribute map order")
+		}
+	}
+}
+
+// TestQueryCacheKeyGolden pins CacheKey's bytes: interest summaries
+// hash them into the fingerprints peers exchange on the wire, so a
+// change here is a wire change. AppendCacheKey must produce the same
+// bytes after any prefix.
+func TestQueryCacheKeyGolden(t *testing.T) {
+	many := map[string]string{}
+	for i := 0; i < 11; i++ {
+		many[fmt.Sprintf("k%02d", 10-i)] = fmt.Sprintf("v%d", i)
+	}
+	cases := []struct {
+		q    Query
+		want string
+	}{
+		{Query{}, "0:0:0:0:0:"},
+		{Query{Platform: "upnp"}, "4:upnp0:0:0:0:"},
+		{Query{Platform: "webservice", NameContains: "living room lamp"}, "10:webservice0:16:living room lamp0:0:"},
+		{Query{DeviceType: "camera", Attributes: map[string]string{"room": "room-12"}}, "0:6:camera0:0:0:a4:room7:room-12"},
+		{Query{Node: "peer-1", DeviceType: "tv", Attributes: map[string]string{"room": "room-7"}}, "0:2:tv0:6:peer-10:a4:room6:room-7"},
+		{Query{NameContains: "dev-99"}, "0:0:6:dev-990:0:"},
+		{Query{ExcludeID: "h1/umiddle/own"}, "0:0:0:0:14:h1/umiddle/own"},
+		{Query{Ports: []PortTemplate{{Direction: Input, Kind: Digital, Type: "image/jpeg"}}}, "0:0:0:0:0:p1110:image/jpeg"},
+		{Query{Ports: []PortTemplate{{Direction: Output, Kind: Physical}}, Attributes: map[string]string{"room": "room-20"}}, "0:0:0:0:0:p220:a4:room7:room-20"},
+		{Query{Ports: []PortTemplate{{}, {Type: "visible/*"}}}, "0:0:0:0:0:p000:p009:visible/*"},
+		{Query{Attributes: map[string]string{"zone": "", "b": "2", "a": "1"}}, "0:0:0:0:0:a1:a1:1a1:b1:2a4:zone0:"},
+		{Query{Attributes: map[string]string{"": "x"}}, "0:0:0:0:0:a0:1:x"},
+		{Query{Attributes: many}, "0:0:0:0:0:a3:k003:v10a3:k012:v9a3:k022:v8a3:k032:v7a3:k042:v6a3:k052:v5a3:k062:v4a3:k072:v3a3:k082:v2a3:k092:v1a3:k102:v0"},
+	}
+	for i, c := range cases {
+		if got := c.q.CacheKey(); got != c.want {
+			t.Errorf("case %d: CacheKey = %q, want %q", i, got, c.want)
+		}
+		if got := string(c.q.AppendCacheKey([]byte("prefix"))); got != "prefix"+c.want {
+			t.Errorf("case %d: AppendCacheKey = %q, want %q", i, got, "prefix"+c.want)
 		}
 	}
 }

@@ -19,9 +19,7 @@ import (
 // detector's instrumentation allocates, hence the build tag.
 func TestLookupAllocationBudget(t *testing.T) {
 	const population, runs = 10_000, 200
-	// A coalesce window longer than the test keeps the delta flush (and
-	// its allocations) off the measured goroutines.
-	d := New("h1", nil, Options{CoalesceWindow: time.Hour})
+	d := New("h1", nil, Options{})
 	defer d.Close()
 	for start := 0; start < population; start += 1000 {
 		profiles := make([]core.Profile, 0, 1000)
@@ -51,6 +49,8 @@ func TestLookupAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mutation %d: %v", i, err)
 		}
+		// The delta flusher allocates; keep it out of the measurement.
+		waitFor(t, time.Second, func() bool { return deltaIdle(d) })
 		runtime.ReadMemStats(&before)
 		got := d.Lookup(q)
 		runtime.ReadMemStats(&after)
@@ -63,5 +63,30 @@ func TestLookupAllocationBudget(t *testing.T) {
 	t.Logf("%.2f allocations per Lookup after one mutation at %d profiles", perLookup, population)
 	if perLookup > 16 {
 		t.Fatalf("%.2f allocations per Lookup after one mutation, budget 16", perLookup)
+	}
+}
+
+// TestLookupCacheHitAllocations: a Lookup answered from the query cache
+// allocates only its result slice. The cache key is built on the stack.
+func TestLookupCacheHitAllocations(t *testing.T) {
+	d := New("h1", nil, Options{})
+	defer d.Close()
+	profiles := make([]core.Profile, 0, 100)
+	for i := 0; i < 100; i++ {
+		p := equivProfileFor("h2", i, i)
+		p.Attributes = map[string]string{"room": fmt.Sprintf("room-%d", i%5)}
+		profiles = append(profiles, p)
+	}
+	d.handleAdvert(advert{Type: "add", Node: "h2", Zone: "h2", Profiles: profiles})
+	q := core.Query{
+		DeviceType: "camera",
+		Ports:      []core.PortTemplate{{Direction: core.Output}},
+		Attributes: map[string]string{"room": "room-2"},
+	}
+	if len(d.Lookup(q)) == 0 {
+		t.Fatal("empty lookup")
+	}
+	if got := testing.AllocsPerRun(100, func() { d.Lookup(q) }); got != 1 {
+		t.Fatalf("cache-hit Lookup made %.1f allocations, want 1 (the result slice)", got)
 	}
 }

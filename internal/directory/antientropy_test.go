@@ -45,6 +45,27 @@ func settledPair(a, b *Directory) bool {
 	return idleA && idleB && viewA == fpA && viewB == fpB
 }
 
+// waitQuiescent waits until a and b have settled and stay settled while
+// each hears three more adverts. Each inbox is FIFO and drained by one
+// loop, so a sync_req queued or being handled at the first check has
+// been handled by then, and its sync sent.
+func waitQuiescent(t *testing.T, a, b *Directory) {
+	t.Helper()
+	waitFor(t, 2*time.Second, func() bool { return settledPair(a, b) })
+	ra, rb := receivedCount(a), receivedCount(b)
+	waitFor(t, 2*time.Second, func() bool {
+		return receivedCount(a) >= ra+3 && receivedCount(b) >= rb+3 && settledPair(a, b)
+	})
+}
+
+// waitHeartbeats waits until d has sent n more heartbeats: a window
+// measured in anti-entropy rounds rather than wall-clock time.
+func waitHeartbeats(t *testing.T, d *Directory, n uint64) {
+	t.Helper()
+	hb := sentCount(d, "heartbeat")
+	waitFor(t, 5*time.Second, func() bool { return sentCount(d, "heartbeat") >= hb+n })
+}
+
 // TestSteadyStateHeartbeatsOnly: once a population has converged and
 // nothing changes, the periodic anti-entropy traffic must be
 // constant-size heartbeats — no recurring full-state announces and no
@@ -69,22 +90,14 @@ func TestSteadyStateHeartbeatsOnly(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { _, r := d2.Size(); return r == 3 })
 	// Join-time syncs (a heartbeat can overtake the add delta it follows)
-	// are over once the pair has settled and stays settled while each
-	// side hears three more adverts. Each inbox is FIFO and drained by
-	// one loop, so a sync_req queued or being handled at the first check
-	// has been handled by then, and its sync sent.
-	waitFor(t, 2*time.Second, func() bool { return settledPair(d1, d2) })
-	r1, r2 := receivedCount(d1), receivedCount(d2)
-	waitFor(t, 2*time.Second, func() bool {
-		return receivedCount(d1) >= r1+3 && receivedCount(d2) >= r2+3 && settledPair(d1, d2)
-	})
+	// are over once the pair is quiescent.
+	waitQuiescent(t, d1, d2)
 
 	annBefore := sentCount(d1, "announce")
 	syncBefore := sentCount(d1, "sync")
 	addBefore := sentCount(d1, "add")
 	reqBefore := sentCount(d2, "sync_req")
-	hbBefore := sentCount(d1, "heartbeat")
-	waitFor(t, 5*time.Second, func() bool { return sentCount(d1, "heartbeat") >= hbBefore+window })
+	waitHeartbeats(t, d1, window)
 
 	if got := sentCount(d1, "announce") - annBefore; got != 0 {
 		t.Fatalf("steady state sent %d full announces, want 0", got)

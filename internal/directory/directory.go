@@ -45,11 +45,6 @@ const Group = "umiddle-directory"
 const (
 	// DefaultAnnounceInterval is the heartbeat cadence.
 	DefaultAnnounceInterval = 500 * time.Millisecond
-	// DefaultCoalesceWindow is how long an AddLocal-triggered delta advert
-	// waits to absorb further registrations. Importing N translators in a
-	// burst (a mapper discovering a device population) broadcasts one
-	// advert instead of N.
-	DefaultCoalesceWindow = 5 * time.Millisecond
 	// DefaultRelayTTL bounds advert relay hops when no explicit RelayTTL
 	// is configured.
 	DefaultRelayTTL = 8
@@ -64,6 +59,12 @@ var ErrNotFound = errors.New("directory: translator not found")
 // TranslatorMapped is shared with the directory's internal state and
 // must be treated as read-only; listeners that need to retain a mutable
 // copy must Clone it.
+//
+// Remote translators notify the net change each integrated advert makes,
+// not every step on the owner: a remove and re-add notify Unmapped then
+// Mapped only when the remove arrived first, and an add revoked before
+// it went out notifies nothing. At quiescence the last notification per
+// translator agrees with the owner's population.
 type Listener interface {
 	// TranslatorMapped is called when a new translator (local or remote)
 	// becomes visible.
@@ -207,9 +208,6 @@ type advert struct {
 type Options struct {
 	// AnnounceInterval overrides DefaultAnnounceInterval.
 	AnnounceInterval time.Duration
-	// CoalesceWindow overrides DefaultCoalesceWindow: how long an
-	// AddLocal-triggered delta advert is delayed to batch with others.
-	CoalesceWindow time.Duration
 	// Obs receives directory metrics and trace events; nil allocates a
 	// private registry (readable via Obs()).
 	Obs *obs.Registry
@@ -268,9 +266,6 @@ func (o Options) withDefaults() Options {
 		o.AnnounceInterval = DefaultAnnounceInterval
 	}
 	o.Lease = o.Lease.WithDefaults()
-	if o.CoalesceWindow <= 0 {
-		o.CoalesceWindow = DefaultCoalesceWindow
-	}
 	if o.RelayTTL <= 0 {
 		o.RelayTTL = DefaultRelayTTL
 	}
@@ -433,10 +428,10 @@ type Directory struct {
 	// sweeping the whole population (O(nodes) per tick, not O(entries)).
 	owners map[string]int
 	// pendingAdds names local translators registered since the last
-	// broadcast, flushed as one coalesced "add" delta.
+	// broadcast (or removed again since: see RemoveLocal).
 	pendingAdds map[core.TranslatorID]struct{}
-	// timers tracks every outstanding AfterFunc handle (delta coalesce,
-	// sync coalesce, sync rate-limit) so Close can stop them — an
+	// timers tracks every outstanding AfterFunc handle (sync rate-limit,
+	// warm-entry drop, neighbour bootstrap) so Close can stop them — an
 	// untracked timer would fire into a closed directory and leak its
 	// goroutine past wg.Wait.
 	timers map[*time.Timer]struct{}
@@ -756,13 +751,13 @@ func (d *Directory) close(restart bool) error {
 
 // afterFunc schedules fn on a timer that is tracked for Close: the
 // callback is accounted in d.wg, skipped once the directory closes, and
-// the handle stopped by Close so it cannot fire afterwards. Returns
-// false (fn will never run) when the directory is already closed.
-func (d *Directory) afterFunc(delay time.Duration, fn func()) bool {
+// the handle stopped by Close so it cannot fire afterwards. Nothing is
+// scheduled once the directory is closed.
+func (d *Directory) afterFunc(delay time.Duration, fn func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return false
+		return
 	}
 	d.wg.Add(1)
 	var t *time.Timer
@@ -777,7 +772,6 @@ func (d *Directory) afterFunc(delay time.Duration, fn func()) bool {
 		}
 	})
 	d.timers[t] = struct{}{}
-	return true
 }
 
 // AddLocal registers a local translator and announces it. The profile is
@@ -829,15 +823,16 @@ func (d *Directory) AddLocal(tr core.Translator) error {
 	d.localFP ^= fp
 	d.xorIfpsLocked(sealed, fp)
 	d.pendingAdds[sealed.ID] = struct{}{}
+	if !d.deltaPending {
+		d.deltaPending = true
+		d.goLocked(d.flushDelta)
+	}
 	d.touchLocked(sealed.ID)
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
 
 	d.trace.Event("translator_mapped", d.node, string(sealed.ID))
 	d.notifyMapped(listeners, sealed)
-	// Coalesced rather than immediate: a mapper importing a device burst
-	// broadcasts one delta advert, not O(N) of them.
-	d.scheduleDelta()
 	return nil
 }
 
@@ -857,12 +852,10 @@ func (d *Directory) RemoveLocal(id core.TranslatorID) (core.Translator, error) {
 	}
 	delete(d.local, id)
 	d.appendWAL(recLocalRemove, persistRemove{ID: id})
-	// If the add was still waiting in the coalesce window, peers never
-	// learned the id: suppress the remove advert entirely instead of
-	// broadcasting a no-op they would have to reconcile against. The
-	// empty delta flush broadcasts the settled digest (see flushDelta).
+	// If the add is still pending, peers never learned the id: suppress
+	// the remove advert. The id stays pending as the flusher's mark that
+	// the digest moved (see flushDelta).
 	_, unannounced := d.pendingAdds[id]
-	delete(d.pendingAdds, id)
 	d.version++
 	d.localFP ^= entry.fp
 	d.xorIfpsLocked(entry.profile, entry.fp)
@@ -969,58 +962,54 @@ func (d *Directory) notifyUnmappedBatch(listeners []Listener, ids []core.Transla
 	d.met.notifyLat.ObserveDuration(time.Since(start))
 }
 
-// scheduleDelta requests an incremental "add" broadcast after the
-// coalesce window; registrations arriving while one is pending fold
-// into it.
-func (d *Directory) scheduleDelta() {
-	d.mu.Lock()
-	if d.closed || d.deltaPending {
-		d.mu.Unlock()
-		return
-	}
-	d.deltaPending = true
-	d.mu.Unlock()
-	d.afterFunc(d.opts.CoalesceWindow, d.flushDelta)
+// goLocked runs fn on a goroutine Close waits for. The caller holds d.mu
+// and has seen the directory open, so wg.Add precedes Close's wg.Wait.
+func (d *Directory) goLocked(fn func()) {
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		fn()
+	}()
 }
 
-// flushDelta broadcasts the coalesced "add" delta. A full-state
-// broadcast that raced ahead (AnnounceNow, sync) empties pendingAdds
-// and the flush becomes a no-op. When every pending add was removed
-// again within the coalesce window, the flush carries no profiles but
-// the version/fingerprint still advanced — broadcast the settled digest
-// as an immediate heartbeat so peers observe a clean no-op instead of
-// detecting divergence on the next periodic heartbeat and full-syncing
-// over nothing.
+// flushDelta is the delta flusher, started by the first AddLocal after
+// idle. Each pass broadcasts the pending adds as one "add" advert; adds
+// arriving meanwhile fold into the next pass, and the flusher clears
+// deltaPending only when a pass finds nothing pending. AddLocal never
+// sends inline: a sequential burst would cost one advert per add. A
+// full-state broadcast (AnnounceNow, sync) absorbs whatever is pending.
+// A pass left with only IDs removed again (see RemoveLocal) broadcasts
+// the settled digest as a heartbeat, so peers see a clean no-op rather
+// than a version gap.
 func (d *Directory) flushDelta() {
-	d.mu.Lock()
-	d.deltaPending = false
-	if d.closed {
+	for {
+		d.mu.Lock()
+		if d.closed || len(d.pendingAdds) == 0 {
+			d.deltaPending = false
+			d.mu.Unlock()
+			return
+		}
+		profiles := make([]core.Profile, 0, len(d.pendingAdds))
+		for id := range d.pendingAdds {
+			if e, ok := d.local[id]; ok {
+				profiles = append(profiles, e.profile)
+			}
+		}
+		clear(d.pendingAdds)
+		profiles, filtered := d.egressFilterLocked(profiles)
+		version, fp := d.version, d.localFP
+		ifps := d.ifpsLocked()
 		d.mu.Unlock()
-		return
-	}
-	hadPending := len(d.pendingAdds) > 0
-	profiles := make([]core.Profile, 0, len(d.pendingAdds))
-	for id := range d.pendingAdds {
-		if e, ok := d.local[id]; ok {
-			profiles = append(profiles, e.profile)
-		}
-	}
-	clear(d.pendingAdds)
-	profiles, filtered := d.egressFilterLocked(profiles)
-	version, fp := d.version, d.localFP
-	ifps := d.ifpsLocked()
-	d.mu.Unlock()
-	if len(profiles) == 0 {
-		if hadPending || filtered {
+		if len(profiles) == 0 {
 			d.sendHeartbeat()
+			continue
 		}
-		return
+		d.send(advert{
+			Type: "add", Node: d.node, Zone: d.zone, Profiles: profiles,
+			LeaseMillis: int64(d.lease() / time.Millisecond),
+			Version:     version, Fp: fp, Ifps: ifps, Filtered: filtered,
+		})
 	}
-	d.send(advert{
-		Type: "add", Node: d.node, Zone: d.zone, Profiles: profiles,
-		LeaseMillis: int64(d.lease() / time.Millisecond),
-		Version:     version, Fp: fp, Ifps: ifps, Filtered: filtered,
-	})
 }
 
 // Local resolves a locally hosted translator. A warm entry recovered
@@ -1270,8 +1259,8 @@ func (d *Directory) AnnounceNow() {
 }
 
 // sendFullState broadcasts every local profile as typ ("announce" or
-// "sync"). Any delta still waiting in the coalesce window is absorbed:
-// the full state supersedes it. When every live peer has declared a
+// "sync"). Any delta not yet taken by the flusher is absorbed: the full
+// state supersedes it. When every live peer has declared a
 // concrete interest, the profile list is filtered to their union and
 // the advert marked Filtered.
 func (d *Directory) sendFullState(typ string) {
@@ -1293,7 +1282,6 @@ func (d *Directory) sendFullState(typ string) {
 		interest = d.ownSum
 	}
 	if typ == "sync" {
-		d.syncPending = false
 		d.lastSync = time.Now()
 	}
 	d.mu.Unlock()
@@ -1342,10 +1330,10 @@ func (d *Directory) egressFilterLocked(profiles []core.Profile) ([]core.Profile,
 	return kept, false
 }
 
-// scheduleSync answers a sync_req with a coalesced, rate-limited full
-// "sync" broadcast: several diverged peers (a batch of late joiners)
-// are served by one advert, and a flapping peer cannot make us spam
-// full state more than once per announce interval.
+// scheduleSync answers a sync_req with a rate-limited full "sync"
+// broadcast: requests arriving before it is on the wire (a batch of late
+// joiners) are served by that one advert, and a flapping peer cannot
+// make us spam full state more than once per announce interval.
 func (d *Directory) scheduleSync() {
 	d.mu.Lock()
 	if d.closed || d.syncPending {
@@ -1373,8 +1361,13 @@ func (d *Directory) scheduleSync() {
 		return
 	}
 	d.syncPending = true
+	d.goLocked(func() {
+		d.sendFullState("sync")
+		d.mu.Lock()
+		d.syncPending = false
+		d.mu.Unlock()
+	})
 	d.mu.Unlock()
-	d.afterFunc(d.opts.CoalesceWindow, func() { d.sendFullState("sync") })
 }
 
 // sendHeartbeat broadcasts the constant-size liveness advert: lease,
@@ -1857,7 +1850,7 @@ func (d *Directory) coveredByIfps(ifps map[string]uint64) bool {
 // rate-limited per node so a persistent mismatch costs one request per
 // announce interval. Divergence is judged on the content digest alone: a
 // version gap whose fingerprint still matches means the missed deltas
-// net-cancelled (an add revoked within its coalesce window) and there is
+// net-cancelled (an add revoked before the flusher sent it) and there is
 // nothing to fetch.
 //
 // A filtered node holds only the sender's profiles matching its own

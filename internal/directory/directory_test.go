@@ -47,6 +47,23 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
+// deltaIdle reports whether d's delta flusher has finished: the flusher
+// clears deltaPending only once it finds nothing left to send.
+func deltaIdle(d *Directory) bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return !d.deltaPending
+}
+
+// holdDelta keeps d's delta flusher from starting: AddLocal sees a flush
+// already pending, so registrations and removals made meanwhile fold
+// deterministically. The test releases them by calling d.flushDelta.
+func holdDelta(d *Directory) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.deltaPending = true
+}
+
 // recorder is a thread-safe Listener implementation.
 type recorder struct {
 	mu       sync.Mutex

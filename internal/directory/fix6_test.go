@@ -11,7 +11,7 @@ import (
 // Regression tests for three anti-entropy bugs fixed together with the
 // interest-propagation work: a dropped rate-limited sync_req, ghost
 // state plantable via self/empty-node adverts, and sync churn after an
-// add revoked inside its coalesce window.
+// add revoked before its delta went out.
 
 // TestSyncReqInsideRateLimitWindowStillServed: a sync_req arriving
 // while the responder is inside its once-per-interval sync rate limit
@@ -99,17 +99,17 @@ func TestSelfAndEmptyNodeAdvertsRejected(t *testing.T) {
 	}
 }
 
-// TestNetCancelledDeltaCausesNoSyncChurn: an AddLocal revoked inside
-// its own coalesce window advances version twice while the state
+// TestNetCancelledDeltaCausesNoSyncChurn: an AddLocal revoked before
+// its delta went out advances version twice while the state
 // fingerprint nets back out. Peers never hear of the entry (the add
-// flush is empty, the remove advert suppressed) — they must also not
-// be tricked into a pointless full sync by the version gap. Before the
-// fix, divergence was judged on the version counter and every peer
+// flush carries no profile, the remove advert is suppressed); the flush
+// broadcasts the settled digest as a heartbeat instead, and peers must
+// not be tricked into a pointless full sync by the version gap. Before
+// the fix, divergence was judged on the version counter and every peer
 // sync_req'd over a no-op.
 func TestNetCancelledDeltaCausesNoSyncChurn(t *testing.T) {
 	opts := fastOpts()
 	opts.AnnounceInterval = 40 * time.Millisecond
-	opts.CoalesceWindow = 25 * time.Millisecond
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()
 	h1, h2 := net.MustAddHost("h1"), net.MustAddHost("h2")
@@ -127,7 +127,9 @@ func TestNetCancelledDeltaCausesNoSyncChurn(t *testing.T) {
 	removeBefore := sentCount(d1, "remove")
 	reqBefore := sentCount(d2, "sync_req")
 
-	// Register and immediately revoke: both land inside one window.
+	// Register and revoke while a flush is held pending, so both fold
+	// into one flusher pass.
+	holdDelta(d1)
 	x := testTranslator(t, "h1", "ephemeral")
 	if err := d1.AddLocal(x); err != nil {
 		t.Fatalf("AddLocal: %v", err)
@@ -140,6 +142,11 @@ func TestNetCancelledDeltaCausesNoSyncChurn(t *testing.T) {
 	d1.mu.RUnlock()
 	if version < 3 {
 		t.Fatalf("version = %d, want >= 3 (add+remove must advance it)", version)
+	}
+	hbBefore := sentCount(d1, "heartbeat")
+	d1.flushDelta()
+	if sentCount(d1, "heartbeat") == hbBefore {
+		t.Fatal("net-cancelled flush sent no settled-digest heartbeat")
 	}
 
 	// Several heartbeat intervals: the version gap is visible, the

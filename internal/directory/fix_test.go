@@ -157,8 +157,8 @@ func observeGroup(t *testing.T, net *netemu.Network, host string) func() map[str
 
 // TestAddLocalCoalescesAnnounces: before the fix every AddLocal fired a
 // full-state AnnounceNow, so importing N translators broadcast O(N²)
-// profile payloads. Registrations inside the coalesce window must fold
-// into one broadcast.
+// profile payloads. Registrations arriving while a delta flush is
+// pending or being sent must fold into the next one.
 func TestAddLocalCoalescesAnnounces(t *testing.T) {
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()
@@ -167,7 +167,7 @@ func TestAddLocalCoalescesAnnounces(t *testing.T) {
 
 	// A long announce interval isolates AddLocal-triggered announces
 	// from the periodic heartbeat.
-	d := New("h1", h1, Options{AnnounceInterval: time.Hour, CoalesceWindow: 20 * time.Millisecond})
+	d := New("h1", h1, Options{AnnounceInterval: time.Hour})
 	if err := d.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -188,8 +188,8 @@ func TestAddLocalCoalescesAnnounces(t *testing.T) {
 	if adds == 0 {
 		t.Fatal("burst produced no add advert at all")
 	}
-	// Pre-fix this is exactly `burst`; coalescing gets it to 1 (a
-	// scheduler hiccup may split the burst, so allow a little slack).
+	// Pre-fix this is exactly `burst`; folding while a flush is in
+	// flight gets it to a few (how many depends on scheduling).
 	if adds > 3 {
 		t.Fatalf("burst of %d AddLocals produced %d add adverts, want coalesced (<=3)", burst, adds)
 	}
@@ -227,7 +227,7 @@ func TestRemoveAfterCloseSafe(t *testing.T) {
 	}
 	d.AnnounceNow()                  // must be a silent no-op
 	d.send(advert{Type: "announce"}) // likewise
-	d.scheduleDelta()
+	d.flushDelta()
 	d.scheduleSync()
 	d.sendHeartbeat()
 	time.Sleep(100 * time.Millisecond)

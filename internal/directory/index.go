@@ -297,9 +297,10 @@ func (s *snapshot) candidates(q core.Query) (list []int32, all bool) {
 // verified with Query.Matches, so the result set is exactly the
 // brute-force scan's.
 func (s *snapshot) lookup(q core.Query, met *dirMetrics) []int32 {
-	key := q.CacheKey()
+	var buf [128]byte
+	key := q.AppendCacheKey(buf[:0])
 	s.qmu.RLock()
-	cached, ok := s.qcache[key]
+	cached, ok := s.qcache[string(key)]
 	s.qmu.RUnlock()
 	if ok {
 		met.queryHits.Inc()
@@ -324,7 +325,7 @@ func (s *snapshot) lookup(q core.Query, met *dirMetrics) []int32 {
 	}
 	s.qmu.Lock()
 	if len(s.qcache) < maxQueryCacheEntries {
-		s.qcache[key] = out
+		s.qcache[string(key)] = out
 	}
 	s.qmu.Unlock()
 	return out

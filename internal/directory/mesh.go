@@ -181,10 +181,10 @@ func (d *Directory) maybeBootstrap(peer string) {
 		return
 	}
 	st.lastBootstrap = time.Now()
-	d.mu.Unlock()
 	// Off the receive loop: building the batches marshals our whole held
 	// remote state.
-	d.afterFunc(0, func() { d.bootstrapNeighbor(peer) })
+	d.goLocked(func() { d.bootstrapNeighbor(peer) })
+	d.mu.Unlock()
 }
 
 // bootstrapNeighbor replays this node's held remote zones onto its

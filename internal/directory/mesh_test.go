@@ -37,21 +37,21 @@ func observeAdverts(t *testing.T, net *netemu.Network, spectator, node string) f
 	}
 }
 
-// TestCloseRaceByeIsLast: a delta flush whose timer passed its closed
-// check just before Close must not broadcast after the bye — emission
-// is serialized under the sender mutex. Regression for the shutdown
-// race; run with -race.
+// TestCloseRaceByeIsLast: a delta flush that passed its closed check
+// just before Close must not broadcast after the bye — emission is
+// serialized under the sender mutex. Regression for the shutdown race;
+// run with -race.
 func TestCloseRaceByeIsLast(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		net := netemu.NewNetwork(netemu.Unlimited())
 		host := net.MustAddHost("h1")
 		drain := observeAdverts(t, net, fmt.Sprintf("spy%d", i), "h1")
-		d := New("h1", host, Options{AnnounceInterval: 20 * time.Millisecond, CoalesceWindow: time.Microsecond})
+		d := New("h1", host, Options{AnnounceInterval: 20 * time.Millisecond})
 		if err := d.Start(); err != nil {
 			t.Fatal(err)
 		}
-		// Race the coalesce-window flush (and a sync response) against
-		// Close. The tiny window makes the timer fire while Close runs.
+		// Race the delta flusher (and a sync response) against Close:
+		// both start at once and are in flight while Close runs.
 		d.AddLocal(testTranslator(t, "h1", "a"))
 		d.handleAdvert(advert{Type: "sync_req", Node: "h2", Target: "h1"})
 		d.Close()
@@ -82,38 +82,56 @@ func advertTypesOf(as []advert) []string {
 	return out
 }
 
-// TestCloseStopsPendingTimers: Close must stop the delta-coalesce, the
-// sync-coalesce, and the sync rate-limit timers; none may fire into the
-// closed directory (no advert after the bye, wg.Wait returns). Run with
-// -race: it previously reported the unsynchronized timer callbacks.
+// TestCloseStopsPendingTimers: Close must stop the sync rate-limit
+// timer and wait for an in-flight delta flusher and sync sender; none
+// may broadcast into the closed directory (no advert after the bye,
+// wg.Wait returns). Run with -race: it previously reported the
+// unsynchronized timer callbacks.
 func TestCloseStopsPendingTimers(t *testing.T) {
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()
 	host := net.MustAddHost("h1")
 	drain := observeAdverts(t, net, "spy", "h1")
-	d := New("h1", host, Options{AnnounceInterval: 100 * time.Millisecond, CoalesceWindow: 50 * time.Millisecond})
+	d := New("h1", host, Options{AnnounceInterval: 100 * time.Millisecond})
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Arm all three timer kinds: a pending delta, a pending sync
-	// response, and a sync-rate-limit wakeup.
+	// Park every sender at the emission lock until Close has flipped
+	// closed: a sync response, then the delta flusher once it has taken
+	// its pending add.
+	holdDelta(d)
 	d.AddLocal(testTranslator(t, "h1", "a"))
+	d.sendMu.Lock()
 	d.handleAdvert(advert{Type: "sync_req", Node: "h2", Target: "h1"})
 	d.mu.Lock()
 	d.lastSync = time.Now()
 	d.syncPending = false
 	d.mu.Unlock()
 	d.scheduleSync() // inside the rate-limit window: arms the syncWanted timer
+	d.mu.Lock()
+	d.goLocked(d.flushDelta)
+	d.mu.Unlock()
+	waitFor(t, time.Second, func() bool {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		return len(d.pendingAdds) == 0
+	})
 
 	done := make(chan struct{})
 	go func() {
 		d.Close()
 		close(done)
 	}()
+	waitFor(t, time.Second, func() bool {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		return d.closed
+	})
+	d.sendMu.Unlock()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not return: a leaked timer holds the waitgroup")
+		t.Fatal("Close did not return: a leaked timer or sender holds the waitgroup")
 	}
 	d.mu.Lock()
 	timers := len(d.timers)
@@ -121,7 +139,7 @@ func TestCloseStopsPendingTimers(t *testing.T) {
 	if timers != 0 {
 		t.Fatalf("%d timers still tracked after Close", timers)
 	}
-	// Sleep past every armed window: nothing may fire after the bye.
+	// Sleep past the rate-limit window: nothing may fire after the bye.
 	time.Sleep(250 * time.Millisecond)
 	adverts := drain()
 	if len(adverts) == 0 || adverts[len(adverts)-1].Type != "bye" {
@@ -129,15 +147,15 @@ func TestCloseStopsPendingTimers(t *testing.T) {
 	}
 }
 
-// TestPartialDeltaConverges: add two translators and remove one inside
-// the coalesce window. The flushed delta under-reports (one profile)
+// TestPartialDeltaConverges: add two translators and remove one while
+// their delta is held pending. The flushed delta under-reports (one profile)
 // but carries the settled version+fingerprint, so the peer must land
 // exactly on the surviving entry with no sync churn.
 func TestPartialDeltaConverges(t *testing.T) {
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()
 	h1, h2 := net.MustAddHost("h1"), net.MustAddHost("h2")
-	opts := Options{AnnounceInterval: 20 * time.Millisecond, CoalesceWindow: 40 * time.Millisecond}
+	opts := Options{AnnounceInterval: 20 * time.Millisecond}
 	d1, d2 := New("h1", h1, opts), New("h2", h2, opts)
 	defer d1.Close()
 	defer d2.Close()
@@ -147,6 +165,7 @@ func TestPartialDeltaConverges(t *testing.T) {
 		return len(d1.Nodes()) == 1 && len(d2.Nodes()) == 1
 	})
 
+	holdDelta(d1)
 	if err := d1.AddLocal(testTranslator(t, "h1", "keep")); err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +175,7 @@ func TestPartialDeltaConverges(t *testing.T) {
 	if _, err := d1.RemoveLocal(core.MakeTranslatorID("h1", "umiddle", "gone")); err != nil {
 		t.Fatal(err)
 	}
+	d1.flushDelta()
 	waitFor(t, 2*time.Second, func() bool { _, r := d2.Size(); return r == 1 })
 	if _, err := d2.Resolve(core.MakeTranslatorID("h1", "umiddle", "keep")); err != nil {
 		t.Fatalf("surviving entry not learned: %v", err)
@@ -163,7 +183,7 @@ func TestPartialDeltaConverges(t *testing.T) {
 	// The flushed delta under-reported (it never mentioned "gone"), but
 	// it carried the settled digest: once it lands the peers agree and
 	// heartbeats must cause no further sync churn. A single transient
-	// sync_req from a heartbeat racing the coalesce window is legal; an
+	// sync_req from a heartbeat racing the held flush is legal; an
 	// unsettled digest would keep requesting every announce interval.
 	time.Sleep(100 * time.Millisecond)
 	base := sentCount(d2, "sync_req")

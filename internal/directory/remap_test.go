@@ -186,9 +186,9 @@ func TestACLDeniedEntriesShadowed(t *testing.T) {
 
 	// Without shadow accounting the missing fingerprint would trigger a
 	// sync_req every interval, forever.
-	time.Sleep(150 * time.Millisecond)
+	waitQuiescent(t, d1, d2)
 	reqBefore := sentCount(d2, "sync_req")
-	time.Sleep(10 * fastOpts().AnnounceInterval)
+	waitHeartbeats(t, d1, 10)
 	if got := sentCount(d2, "sync_req") - reqBefore; got != 0 {
 		t.Fatalf("ACL-shadowed steady state sent %d sync_reqs, want 0", got)
 	}
@@ -196,9 +196,9 @@ func TestACLDeniedEntriesShadowed(t *testing.T) {
 	// The shadow follows an explicit remove: the digest shifts with the
 	// owner's and stays convergent.
 	d1.RemoveLocal(core.MakeTranslatorID("h1", "umiddle", "secret"))
-	time.Sleep(150 * time.Millisecond)
+	waitQuiescent(t, d1, d2)
 	reqBefore = sentCount(d2, "sync_req")
-	time.Sleep(10 * fastOpts().AnnounceInterval)
+	waitHeartbeats(t, d1, 10)
 	if got := sentCount(d2, "sync_req") - reqBefore; got != 0 {
 		t.Fatalf("post-remove steady state sent %d sync_reqs, want 0", got)
 	}

@@ -3,7 +3,6 @@ package directory
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -67,7 +66,7 @@ func BenchmarkLookup10k(b *testing.B) {
 // reported cost is per lookup, the mutation's share of the republish
 // included.
 func BenchmarkLookupAfterMutation10k(b *testing.B) {
-	d := New("h1", nil, Options{CoalesceWindow: time.Hour})
+	d := New("h1", nil, Options{})
 	defer d.Close()
 	populate(b, d, 100, 9900)
 	room := func(i int) map[string]string { return map[string]string{"room": fmt.Sprintf("room-%d", i)} }

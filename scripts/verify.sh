@@ -6,7 +6,7 @@
 # platform mappers) plus the integration soak and crash/restart chaos cycle,
 # the repo benchmark's own tests (a module of its own under benchmark/),
 # a repeat of the two tier-1 tests that used to flake, ten runs of the
-# directory's steady-state, sync_req-zone and golden-vector tests, a 5-second fuzz
+# directory's event-waiting, fold and golden-vector tests, a 5-second fuzz
 # smoke per wire-codec target, a one-iteration
 # benchharness smoke run with -json output, and a bench-regression gate
 # against the committed BENCH_*.json baselines.
@@ -37,10 +37,11 @@ go test -C benchmark ./...
 # wait; two timing loops a load spike could hit unevenly): five more
 # runs each so a regression of either fix shows.
 go test -count=5 -run 'TestFigure5CameraToTVAcrossNodes|TestRunSec52UPnPSmoke' ./internal/integration ./internal/bench
-# The steady-state test waits on events (settled digests, a heartbeat
-# count), the sync_req zone regression, and the golden wire vectors:
-# ten more runs each.
-go test -count=10 -run 'TestSteadyStateHeartbeatsOnly|TestGolden|TestSyncReqCarriesRequesterZone' ./internal/directory
+# The tests that wait on events (settled digests, a heartbeat count),
+# the sync_req zone regression, the golden wire vectors, and the tests
+# of the timer-free delta flusher (burst fold, reused-ID contract,
+# net-cancelled and partial deltas, ACL shadowing): ten more runs each.
+go test -count=10 -run 'TestSteadyStateHeartbeatsOnly|TestGolden|TestSyncReqCarriesRequesterZone|TestBulkRegistrationBurst|TestReusedIDNetChange|TestNetCancelledDeltaCausesNoSyncChurn|TestPartialDeltaConverges|TestACLDeniedEntriesShadowed' ./internal/directory
 go test -race ./internal/core/ ./internal/obs/ ./internal/transport/ ./internal/directory/ ./internal/netemu/ ./internal/runtime/ ./internal/qos/ ./internal/load/ ./internal/wal/ ./internal/mapper/... ./internal/mappers/...
 # Lookup and Resolve share sealed profiles with concurrent writers: more
 # race-detector passes over the read-path equivalence and sharing tests.
