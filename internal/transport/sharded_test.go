@@ -128,8 +128,8 @@ func TestShardedDispatchExactlyOnce(t *testing.T) {
 	var churnWG sync.WaitGroup
 
 	// Directory churn: translators flap on h2 while deliveries flow —
-	// every mapped/unmapped notification re-runs the dynamic-path scan
-	// and invalidates the match cache under load.
+	// every mapped/unmapped notification re-runs the dynamic-binding
+	// handlers and invalidates the match cache under load.
 	churnWG.Add(1)
 	go func() {
 		defer churnWG.Done()

@@ -364,6 +364,10 @@ var closedChan = func() chan struct{} {
 
 // Module is the transport module of one uMiddle runtime. It implements
 // core.Sink: the runtime binds every local translator's emissions to it.
+//
+// Lock order: a path's mu before the module's mu. tryBind, failDestination
+// and removeLocalPath edit a path's bound set and the byID index in one
+// path-mu section; nothing takes a path's mu while holding the module's.
 type Module struct {
 	node string
 	host *netemu.Host
@@ -405,7 +409,16 @@ type Module struct {
 	conns    map[*frameConn]struct{} // every connection with a live read loop
 	paths    map[PathID]*path
 	bySrc    map[core.PortRef][]*path
-	pending  map[uint64]chan frame
+	// byID and byType are the directory-event fan-out indexes: an event
+	// visits only the paths they list for its translators, not the whole
+	// table. byID lists a path once under each distinct translator it
+	// involves: its source, its static destination, every destination it
+	// has bound. byType lists dynamic paths under their query's
+	// DeviceType, an exact-match criterion ("" holds the queries that
+	// name none). Readers copy what they need out under mu.
+	byID    map[core.TranslatorID]*pathList
+	byType  map[string]*pathList
+	pending map[uint64]chan frame
 	// policies holds the live retry/redial policies. They start as
 	// Options.Retry/Redial and can be replaced atomically at runtime
 	// (SetRetryPolicies, the hot-reload path) without touching any bound
@@ -464,6 +477,8 @@ func New(node string, host *netemu.Host, dir *directory.Directory, opts Options)
 		conns:     make(map[*frameConn]struct{}),
 		paths:     make(map[PathID]*path),
 		bySrc:     make(map[core.PortRef][]*path),
+		byID:      make(map[core.TranslatorID]*pathList),
+		byType:    make(map[string]*pathList),
 		pending:   make(map[uint64]chan frame),
 		relaySeen: make(map[string]*relayWindow),
 	}
@@ -584,6 +599,8 @@ func (m *Module) Close() error {
 	paths := m.paths
 	m.paths = make(map[PathID]*path)
 	m.bySrc = make(map[core.PortRef][]*path)
+	m.byID = make(map[core.TranslatorID]*pathList)
+	m.byType = make(map[string]*pathList)
 	m.mu.Unlock()
 
 	m.cancel()
@@ -1250,29 +1267,91 @@ func (m *Module) installDynamic(src core.PortRef, q core.Query, class qos.Class)
 		bound:          make(map[core.TranslatorID]core.PortRef),
 		interestCancel: cancel,
 	}
-	// Evaluate against translators already present.
-	for _, candidate := range m.dir.Lookup(q) {
-		p.tryBind(candidate, srcType)
-	}
+	// Publish before the first evaluation, so no translator mapped
+	// meanwhile is missed: one mapped after the path entered the indexes
+	// reaches it through onMappedBatch, one mapped before is in the view
+	// Lookup reads. Binding one twice is harmless.
 	id, err := m.addPath(p)
 	if err != nil {
 		cancel()
+		return "", err
 	}
-	return id, err
+	m.bindMatches(p)
+	return id, nil
+}
+
+// bindMatches binds every translator the directory's Lookup returns for
+// the path's query. The view may be stale by the time a candidate is
+// listed in byID: an unmap whose handler read byID first has missed the
+// binding. The directory drops a translator before it notifies, so
+// resolving each newly listed candidate again sees that one gone.
+func (m *Module) bindMatches(p *path) {
+	for _, candidate := range m.dir.Lookup(*p.query) {
+		if !m.tryBind(p, candidate) {
+			continue
+		}
+		if _, err := m.dir.Resolve(candidate.ID); err != nil {
+			m.failDestination(p, candidate.ID)
+		}
+	}
 }
 
 // tryBind binds the path to a matching input port of the candidate, if
 // any — "bound to the port owned by the target translator, whose data
-// type is equivalent to the source port" (paper Section 3.5).
-func (p *path) tryBind(candidate core.Profile, srcType core.DataType) {
+// type is equivalent to the source port" (paper Section 3.5). A newly
+// bound destination is listed in byID, in the same p.mu section, unless
+// the path has left the table (or is listed already, as its source).
+// It reports whether it listed one.
+func (m *Module) tryBind(p *path, candidate core.Profile) (listed bool) {
 	for _, port := range candidate.Shape.Inputs(core.Digital) {
-		if core.Compatible(srcType, port.Type) {
+		if core.Compatible(p.srcType, port.Type) {
 			p.mu.Lock()
+			if _, had := p.bound[candidate.ID]; !had && candidate.ID != p.src.Translator {
+				m.mu.Lock()
+				if m.paths[p.id] == p {
+					enlist(m.byID, candidate.ID, p)
+					listed = true
+				}
+				m.mu.Unlock()
+			}
 			p.bound[candidate.ID] = core.PortRef{Translator: candidate.ID, Port: port.Name}
 			p.dstSnap = nil
 			p.mu.Unlock()
-			return
+			return listed
 		}
+	}
+	return false
+}
+
+// pathList is the list of paths under one key of a fan-out index. It is
+// chained because most keys list a single path: a node per entry costs a
+// third less than a slice per key.
+type pathList struct {
+	p    *path
+	next *pathList
+}
+
+// enlist adds p to the list under key.
+func enlist[K comparable](index map[K]*pathList, key K, p *path) {
+	index[key] = &pathList{p: p, next: index[key]}
+}
+
+// unlist removes p from the list under key, if it is there.
+func unlist[K comparable](index map[K]*pathList, key K, p *path) {
+	var prev *pathList
+	for n := index[key]; n != nil; prev, n = n, n.next {
+		if n.p != p {
+			continue
+		}
+		switch {
+		case prev != nil:
+			prev.next = n.next
+		case n.next != nil:
+			index[key] = n.next
+		default:
+			delete(index, key)
+		}
+		return
 	}
 }
 
@@ -1302,6 +1381,13 @@ func (m *Module) addPath(p *path) (PathID, error) {
 	// the lock): adding copies, as removing does.
 	list := m.bySrc[p.src]
 	m.bySrc[p.src] = append(list[:len(list):len(list)], p)
+	enlist(m.byID, p.src.Translator, p)
+	if p.static != nil && p.static.Translator != p.src.Translator {
+		enlist(m.byID, p.static.Translator, p)
+	}
+	if p.query != nil {
+		enlist(m.byType, p.query.DeviceType, p)
+	}
 	m.mu.Unlock()
 
 	m.trace.Event("path_connect", m.node, string(p.id))
@@ -1373,9 +1459,18 @@ func (m *Module) Disconnect(id PathID) error {
 
 func (m *Module) removeLocalPath(id PathID) error {
 	m.mu.Lock()
-	p, ok := m.paths[id]
-	if !ok {
+	p := m.paths[id]
+	m.mu.Unlock()
+	if p == nil {
+		return fmt.Errorf("%w: %q", ErrPathNotFound, id)
+	}
+	// p.mu first (the lock order): the bound set read here cannot gain a
+	// destination that byID would then keep listing.
+	p.mu.Lock()
+	m.mu.Lock()
+	if m.paths[id] != p {
 		m.mu.Unlock()
+		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrPathNotFound, id)
 	}
 	delete(m.paths, id)
@@ -1389,7 +1484,18 @@ func (m *Module) removeLocalPath(id PathID) error {
 	if len(m.bySrc[p.src]) == 0 {
 		delete(m.bySrc, p.src)
 	}
+	unlist(m.byID, p.src.Translator, p)
+	if p.static != nil {
+		unlist(m.byID, p.static.Translator, p)
+	}
+	for dst := range p.bound {
+		unlist(m.byID, dst, p)
+	}
+	if p.query != nil {
+		unlist(m.byType, p.query.DeviceType, p)
+	}
 	m.mu.Unlock()
+	p.mu.Unlock()
 	p.buf.Close()
 	if p.interestCancel != nil {
 		p.interestCancel()
@@ -1740,78 +1846,49 @@ type dirListener struct{ m *Module }
 var _ directory.NodeListener = dirListener{}
 var _ directory.BatchListener = dirListener{}
 
-func (l dirListener) TranslatorMapped(p core.Profile)         { l.m.onMapped(p) }
-func (l dirListener) TranslatorUnmapped(id core.TranslatorID) { l.m.onUnmapped(id) }
-func (l dirListener) NodeUp(string)                           {}
-func (l dirListener) NodeDown(node string)                    { l.m.onNodeDown(node) }
-
-// Batched notifications (one advert mapping or dropping many
-// translators at once): one path-table scan per batch instead of one
-// per translator — the per-event scans turn quadratic when a sync
-// carries thousands of profiles into a node holding thousands of paths.
+// A single event is a one-element batch: each edge has one handler.
+func (l dirListener) TranslatorMapped(p core.Profile) { l.m.onMappedBatch([]core.Profile{p}) }
+func (l dirListener) TranslatorUnmapped(id core.TranslatorID) {
+	l.m.onUnmappedBatch([]core.TranslatorID{id})
+}
 func (l dirListener) TranslatorsMapped(ps []core.Profile)         { l.m.onMappedBatch(ps) }
 func (l dirListener) TranslatorsUnmapped(ids []core.TranslatorID) { l.m.onUnmappedBatch(ids) }
+func (l dirListener) NodeUp(string)                               {}
+func (l dirListener) NodeDown(node string)                        { l.m.onNodeDown(node) }
 
-// onMapped re-evaluates dynamic paths when a translator appears, and
+// onMappedBatch re-evaluates dynamic paths when translators appear, and
 // clears the degraded flag of static paths whose destination returned.
-func (m *Module) onMapped(p core.Profile) {
-	m.mu.Lock()
-	dynamic := make([]*path, 0, len(m.paths))
-	var static []*path
-	for _, pt := range m.paths {
-		switch {
-		case pt.query != nil:
-			dynamic = append(dynamic, pt)
-		case pt.static != nil && pt.static.Translator == p.ID:
-			static = append(static, pt)
-		}
-	}
-	m.mu.Unlock()
-	for _, pt := range dynamic {
-		if pt.query.Matches(p) {
-			pt.tryBind(p, pt.srcType)
-			m.noteRebound(pt)
-		}
-	}
-	for _, pt := range static {
-		pt.mu.Lock()
-		was := pt.degraded
-		pt.degraded = false
-		pt.mu.Unlock()
-		if was {
-			m.trace.Event("path_recovered", m.node, string(pt.id)+": destination "+string(p.ID)+" mapped again")
-		}
-	}
-}
-
-// onMappedBatch is onMapped over one advert's worth of profiles with a
-// single path-table scan.
+// It visits only the paths the indexes list for the profiles: dynamic
+// paths under the profile's DeviceType or none, static paths under their
+// destination. The cost is O(affected paths), not O(all paths).
 func (m *Module) onMappedBatch(ps []core.Profile) {
-	if len(ps) == 0 {
-		return
+	type candidate struct {
+		pt *path
+		p  int // index into ps
 	}
-	mapped := make(map[core.TranslatorID]*core.Profile, len(ps))
-	for i := range ps {
-		mapped[ps[i].ID] = &ps[i]
-	}
-	m.mu.Lock()
-	dynamic := make([]*path, 0, len(m.paths))
+	var dynamic []candidate
 	var static []*path
-	for _, pt := range m.paths {
-		switch {
-		case pt.query != nil:
-			dynamic = append(dynamic, pt)
-		case pt.static != nil && mapped[pt.static.Translator] != nil:
-			static = append(static, pt)
+	m.mu.Lock()
+	for i := range ps {
+		for n := m.byType[ps[i].DeviceType]; n != nil; n = n.next {
+			dynamic = append(dynamic, candidate{n.p, i})
+		}
+		if ps[i].DeviceType != "" {
+			for n := m.byType[""]; n != nil; n = n.next {
+				dynamic = append(dynamic, candidate{n.p, i})
+			}
+		}
+		for n := m.byID[ps[i].ID]; n != nil; n = n.next {
+			if n.p.static != nil && n.p.static.Translator == ps[i].ID {
+				static = append(static, n.p)
+			}
 		}
 	}
 	m.mu.Unlock()
-	for _, pt := range dynamic {
-		for i := range ps {
-			if pt.query.Matches(ps[i]) {
-				pt.tryBind(ps[i], pt.srcType)
-				m.noteRebound(pt)
-			}
+	for _, c := range dynamic {
+		if c.pt.query.Matches(ps[c.p]) {
+			m.tryBind(c.pt, ps[c.p])
+			m.noteRebound(c.pt)
 		}
 	}
 	for _, pt := range static {
@@ -1825,63 +1902,21 @@ func (m *Module) onMappedBatch(ps []core.Profile) {
 	}
 }
 
-// onUnmapped handles a disappeared translator across every path role it
-// can play: paths rooted at it are torn down (their source is gone for
-// good — deterministic teardown instead of delivery-retry discovery),
-// static paths aimed at it degrade and fail fast, and dynamic paths bound
-// to it fail over by re-running their query.
-func (m *Module) onUnmapped(id core.TranslatorID) {
-	m.mu.Lock()
-	var srcDead, dynamic, static []*path
-	for _, pt := range m.paths {
-		switch {
-		case pt.src.Translator == id:
-			srcDead = append(srcDead, pt)
-		case pt.query != nil:
-			dynamic = append(dynamic, pt)
-		case pt.static != nil && pt.static.Translator == id:
-			static = append(static, pt)
-		}
-	}
-	m.mu.Unlock()
-	for _, pt := range srcDead {
-		m.trace.Event("path_source_lost", m.node, string(pt.id)+": source "+string(id)+" unmapped")
-		m.removeLocalPath(pt.id) //nolint:errcheck
-	}
-	for _, pt := range static {
-		pt.mu.Lock()
-		was := pt.degraded
-		pt.degraded = true
-		pt.mu.Unlock()
-		if !was {
-			m.trace.Event("path_degraded", m.node, string(pt.id)+": destination "+string(id)+" lost")
-		}
-	}
-	for _, pt := range dynamic {
-		m.failDestination(pt, id)
-	}
-}
-
-// onUnmappedBatch is onUnmapped over one advert's worth of departures
-// with a single path-table scan.
+// onUnmappedBatch handles disappeared translators across every path role
+// they can play: paths rooted at one are torn down (their source is gone
+// for good — deterministic teardown instead of delivery-retry discovery),
+// static paths aimed at one degrade and fail fast, and dynamic paths
+// bound to one fail over by re-running their query. The source role wins:
+// a path whose source left is only torn down. byID names the paths; the
+// cost is O(affected paths).
 func (m *Module) onUnmappedBatch(ids []core.TranslatorID) {
-	if len(ids) == 0 {
-		return
-	}
-	gone := make(map[core.TranslatorID]bool, len(ids))
-	for _, id := range ids {
-		gone[id] = true
-	}
+	var srcDead []*path
 	m.mu.Lock()
-	var srcDead, dynamic, static []*path
-	for _, pt := range m.paths {
-		switch {
-		case gone[pt.src.Translator]:
-			srcDead = append(srcDead, pt)
-		case pt.query != nil:
-			dynamic = append(dynamic, pt)
-		case pt.static != nil && gone[pt.static.Translator]:
-			static = append(static, pt)
+	for _, id := range ids {
+		for n := m.byID[id]; n != nil; n = n.next {
+			if n.p.src.Translator == id {
+				srcDead = append(srcDead, n.p)
+			}
 		}
 	}
 	m.mu.Unlock()
@@ -1889,26 +1924,47 @@ func (m *Module) onUnmappedBatch(ids []core.TranslatorID) {
 		m.trace.Event("path_source_lost", m.node, string(pt.id)+": source "+string(pt.src.Translator)+" unmapped")
 		m.removeLocalPath(pt.id) //nolint:errcheck
 	}
-	for _, pt := range static {
-		pt.mu.Lock()
-		was := pt.degraded
-		pt.degraded = true
-		pt.mu.Unlock()
-		if !was {
-			m.trace.Event("path_degraded", m.node, string(pt.id)+": destination "+string(pt.static.Translator)+" lost")
+	// The torn-down paths have left byID: what it lists now plays a
+	// destination role.
+	type loss struct {
+		pt *path
+		id core.TranslatorID
+	}
+	var static, dynamic []loss
+	m.mu.Lock()
+	for _, id := range ids {
+		for n := m.byID[id]; n != nil; n = n.next {
+			switch {
+			case n.p.src.Translator == id:
+				// installed after the teardown pass read byID
+			case n.p.static != nil:
+				static = append(static, loss{n.p, id})
+			default:
+				dynamic = append(dynamic, loss{n.p, id})
+			}
 		}
 	}
-	for _, pt := range dynamic {
-		for _, id := range ids {
-			m.failDestination(pt, id)
+	m.mu.Unlock()
+	for _, l := range static {
+		l.pt.mu.Lock()
+		was := l.pt.degraded
+		l.pt.degraded = true
+		l.pt.mu.Unlock()
+		if !was {
+			m.trace.Event("path_degraded", m.node, string(l.pt.id)+": destination "+string(l.id)+" lost")
 		}
+	}
+	for _, l := range dynamic {
+		m.failDestination(l.pt, l.id)
 	}
 }
 
-// onNodeDown is a safety net under onUnmapped: the directory unmaps each
-// of a dead node's translators before NodeDown fires, but a path may
+// onNodeDown is a safety net under onUnmappedBatch: the directory unmaps
+// each of a dead node's translators before NodeDown fires, but a path may
 // reference a destination the directory never integrated (a static
-// connect by raw ID). Node identity is parsed from the translator ID.
+// connect by raw ID). Node identity is parsed from the translator ID. It
+// is the one directory event that still scans the whole path table: node
+// loss is rare, and a safety net should not lean on the indexes.
 func (m *Module) onNodeDown(node string) {
 	m.mu.Lock()
 	var dynamic, static []*path
@@ -1957,6 +2013,11 @@ func (m *Module) failDestination(pt *path, id core.TranslatorID) {
 		return
 	}
 	delete(pt.bound, id)
+	if id != pt.src.Translator {
+		m.mu.Lock()
+		unlist(m.byID, id, pt)
+		m.mu.Unlock()
+	}
 	pt.dstSnap = nil
 	if len(pt.bound) == 0 && pt.lostAt.IsZero() {
 		pt.lostAt = time.Now()
@@ -1977,9 +2038,7 @@ func (m *Module) rebind(pt *path) {
 	if pt.query == nil {
 		return
 	}
-	for _, candidate := range m.dir.Lookup(*pt.query) {
-		pt.tryBind(candidate, pt.srcType)
-	}
+	m.bindMatches(pt)
 	m.noteRebound(pt)
 }
 

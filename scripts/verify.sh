@@ -6,7 +6,8 @@
 # platform mappers) plus the integration soak and crash/restart chaos cycle,
 # the repo benchmark's own tests (a module of its own under benchmark/),
 # a repeat of the two tier-1 tests that used to flake, ten runs of the
-# directory's event-waiting, fold and golden-vector tests, a 5-second fuzz
+# directory's event-waiting, fold and golden-vector tests, five race runs
+# of the transport's fan-out equivalence and connect-race tests, a 5-second fuzz
 # smoke per wire-codec target, a one-iteration
 # benchharness smoke run with -json output, and a bench-regression gate
 # against the committed BENCH_*.json baselines.
@@ -51,6 +52,10 @@ go test -race $short_flag -run 'TestCrashRestartChaosAllMappers' ./internal/inte
 # Sharded-dispatch soak: exactly-once, in-order delivery across striped
 # write connections while translators churn and links flap.
 go test -race $short_flag -run 'TestShardedDispatchExactlyOnce' ./internal/transport/ -count=1
+# Directory-event fan-out: the indexed handlers against the full-scan
+# model over a random event sequence, and ConnectQuery racing a peer's
+# AddLocal or RemoveLocal (the path must end bound to what Lookup says).
+go test -race -count=5 -run 'TestFanOutIndexEquivalenceProperty|TestConnectQueryRacingPeer' ./internal/transport/
 
 # Fuzz smoke: 5 seconds per wire-facing target. Patterns are anchored —
 # -fuzz must match exactly one target per invocation.
