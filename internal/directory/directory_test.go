@@ -34,6 +34,23 @@ func testTranslator(t *testing.T, node, local string) core.Translator {
 	return core.MustBase(testProfile(node, local))
 }
 
+// remoteProfile builds an announce-ready profile (ShapePorts synced, as
+// it would arrive on the wire) for a foreign node.
+func remoteProfile(node, local string, ports ...core.Port) core.Profile {
+	if len(ports) == 0 {
+		ports = []core.Port{{Name: "out", Kind: core.Digital, Direction: core.Output, Type: "text/plain"}}
+	}
+	p := core.Profile{
+		ID:       core.MakeTranslatorID(node, "umiddle", local),
+		Name:     local,
+		Platform: "umiddle",
+		Node:     node,
+		Shape:    core.MustShape(ports...),
+	}
+	p.SyncShapePorts()
+	return p
+}
+
 // waitFor polls cond until true or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Helper()

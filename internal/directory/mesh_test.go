@@ -251,7 +251,12 @@ func TestMeshGossipAcrossChain(t *testing.T) {
 	if err := da.AddLocal(testTranslator(t, "a", "cam")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 3*time.Second, func() bool { _, r := dc.Size(); return r == 1 })
+	deadline := time.Now().Add(3 * time.Second)
+	waitFor(t, time.Until(deadline), func() bool { _, r := dc.Size(); return r == 1 })
+	// c may integrate a's relayed add before it hears b's own announce,
+	// so the direct route to b is awaited, not assumed, within the same
+	// deadline.
+	waitFor(t, time.Until(deadline), func() bool { hops, ok := dc.Route("b"); return ok && len(hops) == 0 })
 	if _, err := dc.Resolve(core.MakeTranslatorID("a", "umiddle", "cam")); err != nil {
 		t.Fatalf("c did not learn a's translator across the relay: %v", err)
 	}

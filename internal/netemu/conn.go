@@ -58,7 +58,8 @@ type stream struct {
 	mu       sync.Mutex
 	rCond    *sync.Cond
 	wCond    *sync.Cond
-	queue    []segment
+	queue    []segment // queue[head:] awaits delivery; consumed slots are zeroed
+	head     int
 	free     [][]byte // drained segment buffers awaiting reuse
 	queued   int
 	nextFree time.Time
@@ -110,20 +111,25 @@ func (s *stream) writeSegment(chunk []byte) (int, error) {
 		}
 		s.wCond.Wait()
 	}
-	if s.net != nil && s.net.linkDown(s.from, s.to) {
-		return 0, ErrLinkDown
-	}
+	// Partition, injected fault (its ErrorRate draws from the seeded
+	// PRNG), hub mode: checked in this order, and only while something
+	// on the network is impaired, so a clean link takes no network lock.
+	var hub *medium
 	var extraLatency time.Duration
-	if s.net != nil {
+	if s.net != nil && s.net.impaired.Load() {
+		if s.net.linkDown(s.from, s.to) {
+			return 0, ErrLinkDown
+		}
 		if f, ok := s.net.fault(s.from, s.to); ok {
 			if s.net.rng.chance(f.ErrorRate) {
 				return 0, ErrInjected
 			}
 			extraLatency = f.ExtraLatency
 		}
+		hub = s.hub()
 	}
 	var deliverAt time.Time
-	if hub := s.hub(); hub != nil {
+	if hub != nil {
 		// Hub mode: the whole collision domain carries this segment.
 		deliverAt = hub.reserve(len(chunk)).Add(s.profile.Latency + extraLatency)
 	} else if s.profile.BandwidthBPS > 0 || s.profile.Latency+extraLatency > 0 {
@@ -138,12 +144,35 @@ func (s *stream) writeSegment(chunk []byte) (int, error) {
 	}
 	// else: unshaped link — the segment is deliverable immediately
 	// (zero deliverAt), and neither side needs to read the clock.
+	s.enqueue(chunk, deliverAt)
+	s.queued += len(chunk)
+	s.rCond.Signal()
+	return len(chunk), nil
+}
+
+// enqueue copies chunk onto the queue. A chunk due at once joins a tail
+// segment due at once when its buffer has room: a read takes both in
+// one call either way, and small writes stop costing a buffer each.
+// Consumed slots before head are reclaimed by sliding the live tail
+// down, but only when the array is full and at least half consumed, so
+// each slot moves at most once per use and the array stays within a
+// small multiple of the longest queue. Caller holds s.mu.
+func (s *stream) enqueue(chunk []byte, deliverAt time.Time) {
+	if last := len(s.queue) - 1; last >= s.head && deliverAt.IsZero() {
+		if t := &s.queue[last]; t.deliverAt.IsZero() && len(t.data)+len(chunk) <= cap(t.data) {
+			t.data = append(t.data, chunk...)
+			return
+		}
+	}
+	if len(s.queue) == cap(s.queue) && s.head > 0 && 2*s.head >= len(s.queue) {
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue = s.queue[:n]
+		s.head = 0
+	}
 	data := s.getSegBuf(len(chunk))
 	copy(data, chunk)
 	s.queue = append(s.queue, segment{data: data, buf: data, deliverAt: deliverAt})
-	s.queued += len(data)
-	s.rCond.Signal()
-	return len(chunk), nil
 }
 
 // getSegBuf returns a buffer of length n (n <= MTU), reusing a drained
@@ -166,7 +195,9 @@ func (s *stream) getSegBuf(n int) []byte {
 }
 
 // Read blocks until data is deliverable, the stream is closed (EOF after
-// drain), or the read deadline expires.
+// drain), or the read deadline expires. Like a socket read, it returns
+// every deliverable byte that fits in b: consecutive segments are
+// drained until b is full or the next one is not yet due.
 func (s *stream) Read(b []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,8 +205,8 @@ func (s *stream) Read(b []byte) (int, error) {
 		if !s.readDeadline.IsZero() && !time.Now().Before(s.readDeadline) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		if len(s.queue) > 0 {
-			head := &s.queue[0]
+		if s.head < len(s.queue) {
+			head := &s.queue[s.head]
 			if !head.deliverAt.IsZero() {
 				if wait := time.Until(head.deliverAt); wait > 0 {
 					if wait <= s.net.spinWindow() {
@@ -193,22 +224,8 @@ func (s *stream) Read(b []byte) (int, error) {
 					continue
 				}
 			}
-			n := copy(b, head.data)
-			head.data = head.data[n:]
-			s.queued -= n
-			if len(head.data) == 0 {
-				if head.buf != nil && len(s.free) < s.maxFree() {
-					s.free = append(s.free, head.buf)
-				}
-				// Shift rather than reslice: the queue is short (writers
-				// block on BufferBytes), and keeping the array's base
-				// stable lets append reuse its capacity indefinitely.
-				last := len(s.queue) - 1
-				copy(s.queue, s.queue[1:])
-				s.queue[last] = segment{}
-				s.queue = s.queue[:last]
-			}
-			s.wCond.Signal()
+			n := s.drain(b)
+			s.wCond.Broadcast()
 			return n, nil
 		}
 		if s.closed {
@@ -216,6 +233,37 @@ func (s *stream) Read(b []byte) (int, error) {
 		}
 		s.rCond.Wait()
 	}
+}
+
+// drain copies queued data into b, starting with the head segment
+// (which the caller found deliverable) and continuing while b has room
+// and the next segment is due. A drained segment's buffer goes back on
+// the freelist and its slot is zeroed. Caller holds s.mu.
+func (s *stream) drain(b []byte) int {
+	n := 0
+	for n < len(b) && s.head < len(s.queue) {
+		seg := &s.queue[s.head]
+		if n > 0 && !seg.deliverAt.IsZero() && seg.deliverAt.After(time.Now()) {
+			break
+		}
+		c := copy(b[n:], seg.data)
+		n += c
+		seg.data = seg.data[c:]
+		if len(seg.data) > 0 {
+			break
+		}
+		if len(s.free) < s.maxFree() {
+			s.free = append(s.free, seg.buf)
+		}
+		*seg = segment{}
+		s.head++
+	}
+	if s.head == len(s.queue) {
+		s.queue = s.queue[:0]
+		s.head = 0
+	}
+	s.queued -= n
+	return n
 }
 
 // wakeReaderAt arms a timer to broadcast to blocked readers at t.

@@ -32,6 +32,7 @@ type directedPair struct{ from, to string }
 func (n *Network) SetFault(from, to string, f Fault) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	defer n.noteImpairedLocked()
 	if n.faults == nil {
 		n.faults = make(map[directedPair]Fault)
 	}

@@ -45,6 +45,7 @@ func (m *medium) reserve(n int) time.Time {
 func (n *Network) SetSharedMedium(bps int64, overheadBytes int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	defer n.noteImpairedLocked()
 	if bps <= 0 {
 		n.medium = nil
 		return

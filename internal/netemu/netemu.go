@@ -126,9 +126,12 @@ type Network struct {
 	faults      map[directedPair]Fault
 	groups      map[string]map[*GroupConn]struct{}
 	medium      *medium
-	spinWin     time.Duration // read-pacing spin window; <0 disables
-	closed      bool
-	rng         *splitMix64
+	// impaired is set, under mu, while a link is down, a fault is set or
+	// hub mode is on; stream writes look those up only while it is set.
+	impaired atomic.Bool
+	spinWin  atomic.Int64 // read-pacing spin window (a time.Duration); <0 disables
+	closed   bool
+	rng      *splitMix64
 	// disks models per-host non-volatile storage; entries survive
 	// CrashNode/RestartNode and Network.Close (see Disk).
 	disks map[string]*Disk
@@ -149,9 +152,7 @@ func (n *Network) GroupDrops() uint64 { return n.groupDrops.Load() }
 // Zero restores the default; a negative value disables spinning entirely
 // (every paced read sleeps on a timer, trading RTT precision for CPU).
 func (n *Network) SetSpinWindow(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.spinWin = d
+	n.spinWin.Store(int64(d))
 }
 
 // spinWindow returns the effective spin window. Safe on a nil network
@@ -160,15 +161,13 @@ func (n *Network) spinWindow() time.Duration {
 	if n == nil {
 		return 0
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	switch {
-	case n.spinWin < 0:
+	switch d := time.Duration(n.spinWin.Load()); {
+	case d < 0:
 		return 0
-	case n.spinWin == 0:
+	case d == 0:
 		return DefaultSpinWindow
 	default:
-		return n.spinWin
+		return d
 	}
 }
 
@@ -248,7 +247,17 @@ func (n *Network) SetLink(a, b string, p LinkProfile) {
 func (n *Network) SetLinkDown(a, b string, down bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.down[makePair(a, b)] = down
+	if down {
+		n.down[makePair(a, b)] = true
+	} else {
+		delete(n.down, makePair(a, b))
+	}
+	n.noteImpairedLocked()
+}
+
+// noteImpairedLocked recomputes the impaired summary. Caller holds n.mu.
+func (n *Network) noteImpairedLocked() {
+	n.impaired.Store(len(n.down) > 0 || len(n.faults) > 0 || n.medium != nil)
 }
 
 // linkBetween returns the effective profile and partition state.

@@ -7,7 +7,8 @@
 # the repo benchmark's own tests (a module of its own under benchmark/),
 # a repeat of the two tier-1 tests that used to flake, ten runs of the
 # directory's event-waiting, fold and golden-vector tests, five race runs
-# of the transport's fan-out equivalence and connect-race tests, a 5-second fuzz
+# of the transport's fan-out equivalence and connect-race tests and of
+# netemu's stream property and impairment-toggle tests, a 5-second fuzz
 # smoke per wire-codec target, a one-iteration
 # benchharness smoke run with -json output, and a bench-regression gate
 # against the committed BENCH_*.json baselines.
@@ -56,6 +57,10 @@ go test -race $short_flag -run 'TestShardedDispatchExactlyOnce' ./internal/trans
 # model over a random event sequence, and ConnectQuery racing a peer's
 # AddLocal or RemoveLocal (the path must end bound to what Lookup says).
 go test -race -count=5 -run 'TestFanOutIndexEquivalenceProperty|TestConnectQueryRacingPeer' ./internal/transport/
+# netemu's stream fast path: random Write/Read sizes over an unshaped
+# and a shaped link (order, pacing, multi-segment reads, a bounded
+# queue), and impairments toggled on and off under a streaming writer.
+go test -race -count=5 -run 'TestStreamReadWriteProperty|TestImpairmentToggle' ./internal/netemu/
 
 # Fuzz smoke: 5 seconds per wire-facing target. Patterns are anchored —
 # -fuzz must match exactly one target per invocation.
