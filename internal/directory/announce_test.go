@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -26,8 +27,8 @@ func TestAnnounceNowTeachesLateJoiner(t *testing.T) {
 	if err := d1.AddLocal(testTranslator(t, "h1", "camera")); err != nil {
 		t.Fatalf("AddLocal: %v", err)
 	}
-	// Let Start's asynchronous initial announce drain before the late
-	// joiner appears, so the only way it can learn is via AnnounceNow.
+	// Let the asynchronous add delta drain before the late joiner
+	// appears, so the only way it can learn is via AnnounceNow.
 	time.Sleep(50 * time.Millisecond)
 
 	h2 := net.MustAddHost("h2")
@@ -48,4 +49,49 @@ func TestAnnounceNowTeachesLateJoiner(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool {
 		return len(d2.Lookup(core.Query{NameContains: "camera"})) == 1
 	})
+}
+
+// TestStartSendsJoinAnnounce: Start returns only after the join announce
+// went out, so a node's first datagram on the bus is its own full state
+// and an AddLocal made right after Start reaches peers after it.
+func TestStartSendsJoinAnnounce(t *testing.T) {
+	net := netemu.NewNetwork(netemu.Unlimited())
+	defer net.Close()
+	h1 := net.MustAddHost("h1")
+	// A raw bus member records h1's datagrams in send order (the
+	// unlimited link delivers synchronously, without reordering).
+	tap, err := net.MustAddHost("tap").JoinGroup(Group)
+	if err != nil {
+		t.Fatalf("tap join: %v", err)
+	}
+	defer tap.Close()
+
+	d1 := New("h1", h1, Options{AnnounceInterval: time.Hour})
+	defer d1.Close()
+	if err := d1.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	if n := sentCount(d1, "announce"); n != 1 {
+		t.Fatalf("announces sent when Start returned = %d, want 1", n)
+	}
+	if err := d1.AddLocal(testTranslator(t, "h1", "camera")); err != nil {
+		t.Fatalf("AddLocal: %v", err)
+	}
+
+	var types []string
+	tap.SetDeadline(time.Now().Add(3 * time.Second))
+	for len(types) < 2 {
+		dg, err := tap.Recv()
+		if err != nil {
+			t.Fatalf("tap recv after %v: %v", types, err)
+		}
+		var a advert
+		if err := json.Unmarshal(dg.Payload, &a); err != nil {
+			t.Fatalf("tap decode: %v", err)
+		}
+		types = append(types, a.Type)
+	}
+	if types[0] != "announce" || types[1] != "add" {
+		t.Fatalf("h1's first adverts = %v, want [announce add]", types)
+	}
 }

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -9,19 +10,14 @@ import (
 	"repro/internal/netemu"
 )
 
-// batchRecorder implements both Listener and BatchListener, recording
-// every id either way plus how many calls it took.
+// batchRecorder is a Listener recording every id plus how many calls
+// it took.
 type batchRecorder struct {
 	mu            sync.Mutex
 	mapped        []core.TranslatorID
 	unmapped      []core.TranslatorID
 	mappedCalls   int
 	unmappedCalls int
-}
-
-func (r *batchRecorder) TranslatorMapped(p core.Profile) { r.TranslatorsMapped([]core.Profile{p}) }
-func (r *batchRecorder) TranslatorUnmapped(id core.TranslatorID) {
-	r.TranslatorsUnmapped([]core.TranslatorID{id})
 }
 
 func (r *batchRecorder) TranslatorsMapped(ps []core.Profile) {
@@ -48,10 +44,34 @@ func (r *batchRecorder) snapshot() (mapped, unmapped []core.TranslatorID, mCalls
 		r.mappedCalls, r.unmappedCalls
 }
 
+// funcsRecorder returns a ListenerFuncs that logs every id it is called
+// with, and a snapshot of the two logs.
+func funcsRecorder() (ListenerFuncs, func() (mapped, unmapped []core.TranslatorID)) {
+	var mu sync.Mutex
+	var mapped, unmapped []core.TranslatorID
+	l := ListenerFuncs{
+		Mapped: func(p core.Profile) {
+			mu.Lock()
+			mapped = append(mapped, p.ID)
+			mu.Unlock()
+		},
+		Unmapped: func(id core.TranslatorID) {
+			mu.Lock()
+			unmapped = append(unmapped, id)
+			mu.Unlock()
+		},
+	}
+	return l, func() ([]core.TranslatorID, []core.TranslatorID) {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(mapped), slices.Clone(unmapped)
+	}
+}
+
 // TestBatchListenerCoalescesAdvert: an advert carrying many profiles
-// reaches a BatchListener in far fewer calls than profiles — and a node
-// death unmaps all of them in one call. A plain Listener registered
-// alongside still sees every per-translator event.
+// reaches a Listener in far fewer calls than profiles — and a node
+// death unmaps all of them in one call. A ListenerFuncs registered
+// alongside still sees every per-translator event, in batch order.
 func TestBatchListenerCoalescesAdvert(t *testing.T) {
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()
@@ -63,7 +83,7 @@ func TestBatchListenerCoalescesAdvert(t *testing.T) {
 	d2.Start()
 
 	batched := &batchRecorder{}
-	plain := &recorder{}
+	plain, plainSnap := funcsRecorder()
 	d2.AddListener(batched)
 	d2.AddListener(plain)
 
@@ -73,9 +93,12 @@ func TestBatchListenerCoalescesAdvert(t *testing.T) {
 			t.Fatalf("AddLocal %d: %v", i, err)
 		}
 	}
+	// The ListenerFuncs is called after the recorder for each batch:
+	// wait for both.
 	waitFor(t, 3*time.Second, func() bool {
 		mapped, _, _, _ := batched.snapshot()
-		return len(mapped) >= n
+		pm, _ := plainSnap()
+		return len(mapped) >= n && len(pm) >= n
 	})
 	mapped, _, mCalls, _ := batched.snapshot()
 	if len(mapped) != n {
@@ -84,15 +107,16 @@ func TestBatchListenerCoalescesAdvert(t *testing.T) {
 	if mCalls >= n {
 		t.Fatalf("batching never engaged: %d calls for %d mapped translators", mCalls, n)
 	}
-	if pm, _ := plain.counts(); pm != n {
-		t.Fatalf("plain listener saw %d mapped, want %d", pm, n)
+	if pm, _ := plainSnap(); !slices.Equal(pm, mapped) {
+		t.Fatalf("ListenerFuncs saw mapped %v, want the batch order %v", pm, mapped)
 	}
 
 	// Node death: all n entries drop in one batched unmap.
 	d1.Close() // bye
 	waitFor(t, 3*time.Second, func() bool {
 		_, unmapped, _, _ := batched.snapshot()
-		return len(unmapped) >= n
+		_, pu := plainSnap()
+		return len(unmapped) >= n && len(pu) >= n
 	})
 	_, unmapped, _, uCalls := batched.snapshot()
 	if len(unmapped) != n {
@@ -101,7 +125,7 @@ func TestBatchListenerCoalescesAdvert(t *testing.T) {
 	if uCalls != 1 {
 		t.Fatalf("node death took %d unmap calls, want 1 batched call", uCalls)
 	}
-	if _, pu := plain.counts(); pu != n {
-		t.Fatalf("plain listener saw %d unmapped, want %d", pu, n)
+	if _, pu := plainSnap(); !slices.Equal(pu, unmapped) {
+		t.Fatalf("ListenerFuncs saw unmapped %v, want the batch order %v", pu, unmapped)
 	}
 }

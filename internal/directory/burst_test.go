@@ -112,8 +112,17 @@ func (l *eventLog) record(id core.TranslatorID, mapped bool) {
 	l.events[id] = append(l.events[id], mapped)
 }
 
-func (l *eventLog) TranslatorMapped(p core.Profile)         { l.record(p.ID, true) }
-func (l *eventLog) TranslatorUnmapped(id core.TranslatorID) { l.record(id, false) }
+func (l *eventLog) TranslatorsMapped(ps []core.Profile) {
+	for i := range ps {
+		l.record(ps[i].ID, true)
+	}
+}
+
+func (l *eventLog) TranslatorsUnmapped(ids []core.TranslatorID) {
+	for _, id := range ids {
+		l.record(id, false)
+	}
+}
 
 // TestReusedIDNetChange pins the Listener contract for a reused ID: 300
 // back-to-back RemoveLocal/AddLocal cycles of one translator. A cycle

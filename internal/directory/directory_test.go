@@ -3,6 +3,7 @@ package directory
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -88,16 +89,16 @@ type recorder struct {
 	unmapped []core.TranslatorID
 }
 
-func (r *recorder) TranslatorMapped(p core.Profile) {
+func (r *recorder) TranslatorsMapped(ps []core.Profile) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.mapped = append(r.mapped, p)
+	r.mapped = append(r.mapped, ps...)
 }
 
-func (r *recorder) TranslatorUnmapped(id core.TranslatorID) {
+func (r *recorder) TranslatorsUnmapped(ids []core.TranslatorID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.unmapped = append(r.unmapped, id)
+	r.unmapped = append(r.unmapped, ids...)
 }
 
 func (r *recorder) counts() (int, int) {
@@ -279,15 +280,39 @@ func TestPartitionHealRediscovers(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { _, r := d2.Size(); return r == 1 })
 }
 
+// TestListenerSeesExistingState: a listener added to a populated
+// directory learns the whole population in one TranslatorsMapped call,
+// and a ListenerFuncs sees every profile before AddListener returns.
 func TestListenerSeesExistingState(t *testing.T) {
 	d := New("h1", nil, Options{})
 	defer d.Close()
-	d.AddLocal(testTranslator(t, "h1", "pre-existing"))
+	var want []core.TranslatorID
+	for _, name := range []string{"pre-a", "pre-b", "pre-c", "pre-d", "pre-e"} {
+		tr := testTranslator(t, "h1", name)
+		d.AddLocal(tr)
+		want = append(want, tr.Profile().ID)
+	}
 
-	rec := &recorder{}
+	rec := &batchRecorder{}
 	d.AddListener(rec)
-	if m, _ := rec.counts(); m != 1 {
-		t.Fatalf("listener saw %d mapped, want 1 (existing state replay)", m)
+	mapped, _, mCalls, uCalls := rec.snapshot()
+	if len(mapped) != len(want) {
+		t.Fatalf("listener saw %d mapped, want %d (existing state replay)", len(mapped), len(want))
+	}
+	if mCalls != 1 || uCalls != 0 {
+		t.Fatalf("replay took %d mapped and %d unmapped calls, want one mapped batch", mCalls, uCalls)
+	}
+	slices.Sort(mapped)
+	if !slices.Equal(mapped, want) {
+		t.Fatalf("replayed %v, want %v", mapped, want)
+	}
+
+	funcs, snap := funcsRecorder()
+	d.AddListener(funcs)
+	got, _ := snap()
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("ListenerFuncs saw %v before AddListener returned, want %v", got, want)
 	}
 }
 

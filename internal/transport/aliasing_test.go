@@ -13,34 +13,28 @@ import (
 )
 
 func TestMessageCopySemantics(t *testing.T) {
-	// message() must copy the payload out of the frame buffer;
-	// messageZeroCopy() must alias it (that aliasing is the whole point
-	// of zero-copy delivery).
+	// messageZeroCopy() must alias the frame buffer (that aliasing is
+	// the whole point of zero-copy delivery).
 	f := frame{
 		header:  frameHeader{Type: frameDeliver, MsgType: "text/plain"},
 		payload: []byte("abc"),
 	}
-	copied := f.message()
 	zc := f.messageZeroCopy()
 	f.payload[0] = 'X'
-	if string(copied.Payload) != "abc" {
-		t.Fatalf("message() aliases the frame buffer: %q", copied.Payload)
-	}
 	if string(zc.Payload) != "Xbc" {
 		t.Fatalf("messageZeroCopy() does not alias the frame buffer: %q", zc.Payload)
 	}
 }
 
-// ownershipNode stands up a node whose transport uses the given
-// delivery ownership mode.
-func ownershipNode(t *testing.T, net *netemu.Network, name string, mode Ownership) *node {
+// ownershipNode stands up a node for the payload-ownership tests.
+func ownershipNode(t *testing.T, net *netemu.Network, name string) *node {
 	t.Helper()
 	host := net.MustAddHost(name)
 	dir := directory.New(name, host, directory.Options{AnnounceInterval: 20 * time.Millisecond})
 	if err := dir.Start(); err != nil {
 		t.Fatalf("directory start: %v", err)
 	}
-	mod := New(name, host, dir, Options{DeliverTimeout: 2 * time.Second, DeliverOwnership: mode})
+	mod := New(name, host, dir, Options{DeliverTimeout: 2 * time.Second})
 	if err := mod.Start(); err != nil {
 		t.Fatalf("transport start: %v", err)
 	}
@@ -52,7 +46,7 @@ func ownershipNode(t *testing.T, net *netemu.Network, name string, mode Ownershi
 }
 
 // rawRetainer is a translator that retains delivered messages without
-// cloning — legal only under OwnershipCopy. The retained slices are
+// cloning, against the delivery contract. The retained slices are
 // exactly what the aliasing tests inspect (and mutate).
 type rawRetainer struct {
 	*core.Base
@@ -100,47 +94,6 @@ func connectWhenVisible(t *testing.T, n *node, src core.Translator, dst core.Tra
 	}
 }
 
-// TestCopyOwnershipSafeToRetain: under OwnershipCopy every delivered
-// payload is copied out of the pooled frame buffer, so a translator may
-// retain messages indefinitely while later traffic recycles the
-// buffers. (This was the pre-tracked default; the mode exists for
-// translator sets that retain by design.)
-func TestCopyOwnershipSafeToRetain(t *testing.T) {
-	net := netemu.NewNetwork(netemu.Unlimited())
-	defer net.Close()
-	h1 := ownershipNode(t, net, "h1", OwnershipCopy)
-	h2 := ownershipNode(t, net, "h2", OwnershipCopy)
-	src := producer("h1", "src", "text/plain")
-	dst := newRawRetainer("h2", "dst", "text/plain")
-	h1.register(t, src)
-	h2.register(t, dst)
-	connectWhenVisible(t, h1, src, dst)
-
-	const n = 400
-	for i := 0; i < n; i++ {
-		// Distinguishable payloads: length and fill derive from i, so a
-		// buffer recycled into a later frame corrupts both.
-		src.Emit("out", core.NewMessage("text/plain", bytes.Repeat([]byte{byte(i)}, 512+i)))
-	}
-	waitFor(t, 5*time.Second, func() bool { return dst.count() >= n })
-
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
-	for i, msg := range dst.msgs {
-		if len(msg.Payload) != 512+i {
-			t.Fatalf("msg %d: len = %d, want %d", i, len(msg.Payload), 512+i)
-		}
-		for j, b := range msg.Payload {
-			if b != byte(i) {
-				t.Fatalf("msg %d corrupted at byte %d: %#x != %#x", i, j, b, byte(i))
-			}
-		}
-	}
-	if got := h2.mod.OwnershipViolations(); got != 0 {
-		t.Fatalf("copy mode reported %d ownership violations", got)
-	}
-}
-
 // TestTrackedOwnershipCleanRun: the tracked default delivers zero-copy;
 // a conforming translator (clones before retaining) sees intact
 // payloads across far more messages than the quarantine holds, and no
@@ -148,8 +101,8 @@ func TestCopyOwnershipSafeToRetain(t *testing.T) {
 func TestTrackedOwnershipCleanRun(t *testing.T) {
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()
-	h1 := ownershipNode(t, net, "h1", OwnershipTracked)
-	h2 := ownershipNode(t, net, "h2", OwnershipTracked)
+	h1 := ownershipNode(t, net, "h1")
+	h2 := ownershipNode(t, net, "h2")
 	src := producer("h1", "src", "text/plain")
 	dst := newCollector("h2", "dst", "text/plain") // clones on retain
 	h1.register(t, src)
@@ -186,8 +139,8 @@ func TestTrackedOwnershipCleanRun(t *testing.T) {
 func TestTrackedOwnershipDetectsMutation(t *testing.T) {
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()
-	h1 := ownershipNode(t, net, "h1", OwnershipTracked)
-	h2 := ownershipNode(t, net, "h2", OwnershipTracked)
+	h1 := ownershipNode(t, net, "h1")
+	h2 := ownershipNode(t, net, "h2")
 	src := producer("h1", "src", "text/plain")
 	dst := newRawRetainer("h2", "dst", "text/plain") // contract violator
 	h1.register(t, src)

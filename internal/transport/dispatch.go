@@ -23,6 +23,11 @@ type dstQueue struct {
 	queued bool      // on the ready list, or being drained by a worker
 }
 
+// deliverWorkers bounds the concurrent inbound delivery workers. One
+// worker drains one destination at a time, so independent destinations
+// proceed in parallel up to this bound.
+const deliverWorkers = 8
+
 // dispatcher fans inbound deliveries out to a bounded worker pool,
 // keyed by destination port. It replaces the single per-connection
 // delivery worker: independent destinations no longer serialize behind
@@ -31,8 +36,7 @@ type dstQueue struct {
 // enter the dispatcher — the read loops handle them inline, keeping the
 // guarantee that acks and errors cannot queue behind deliveries.
 type dispatcher struct {
-	m          *Module
-	maxWorkers int
+	m *Module
 
 	mu      sync.Mutex
 	queues  map[core.PortRef]*dstQueue
@@ -66,12 +70,8 @@ func (d *dispatcher) putSpare(s []inbound) {
 	}
 }
 
-func newDispatcher(m *Module, maxWorkers int) *dispatcher {
-	return &dispatcher{
-		m:          m,
-		maxWorkers: maxWorkers,
-		queues:     make(map[core.PortRef]*dstQueue),
-	}
+func newDispatcher(m *Module) *dispatcher {
+	return &dispatcher{m: m, queues: make(map[core.PortRef]*dstQueue)}
 }
 
 // enqueue queues one deliver frame for its destination, spawning a
@@ -96,7 +96,7 @@ func (d *dispatcher) enqueue(f *frame, done func()) {
 		q.queued = true
 		d.ready = append(d.ready, q)
 	}
-	if d.workers < d.maxWorkers && len(d.ready) > 0 && d.m.trackWorker() {
+	if d.workers < deliverWorkers && len(d.ready) > 0 && d.m.trackWorker() {
 		d.workers++
 		go d.run()
 	}
@@ -174,27 +174,16 @@ func (m *Module) handleInbound(in *inbound) {
 		in.done()
 		return
 	}
-	switch m.opts.DeliverOwnership {
-	case OwnershipCopy:
-		m.deliverLocal(f.header.Dst, f.message())
+	m.deliverLocal(f.header.Dst, f.messageZeroCopy())
+	if f.pooled && len(f.payload) > 0 {
+		// The buffer moves to the quarantine ring instead of the pool:
+		// it is recycled only after its checksum verifies that no
+		// translator wrote into it post-return.
+		m.quar.admit(f.payload)
+		f.payload = nil
+		f.pooled = false
+	} else {
 		f.release()
-	case OwnershipAliased:
-		// Payload aliases the pooled read buffer; the translator must
-		// not retain it past Deliver (untracked contract).
-		m.deliverLocal(f.header.Dst, f.messageZeroCopy())
-		f.release()
-	default: // OwnershipTracked
-		m.deliverLocal(f.header.Dst, f.messageZeroCopy())
-		if f.pooled && len(f.payload) > 0 {
-			// The buffer moves to the quarantine ring instead of the
-			// pool: it is recycled only after its checksum verifies
-			// that no translator wrote into it post-return.
-			m.quar.admit(f.payload)
-			f.payload = nil
-			f.pooled = false
-		} else {
-			f.release()
-		}
 	}
 	in.done()
 }

@@ -212,13 +212,13 @@ func TestDialTimeoutHonored(t *testing.T) {
 	net.SetLink("h1", "h2", netemu.LinkProfile{Latency: 2 * time.Second})
 
 	start := time.Now()
-	_, _, err := h1.mod.peerFor("h2")
+	_, _, _, err := h1.mod.peerConn("h2", 0)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("peerFor succeeded across a 4s-RTT link with a 100ms DialTimeout")
+		t.Fatal("peerConn succeeded across a 4s-RTT link with a 100ms DialTimeout")
 	}
 	if elapsed > time.Second {
-		t.Fatalf("peerFor blocked %v, want ~DialTimeout (100ms)", elapsed)
+		t.Fatalf("peerConn blocked %v, want ~DialTimeout (100ms)", elapsed)
 	}
 }
 
@@ -235,12 +235,12 @@ func TestDeadPeerFailsBounded(t *testing.T) {
 	net.MustAddHost("h2") // exists, nothing listening: dials are refused
 
 	start := time.Now()
-	_, _, err := h1.mod.peerFor("h2")
+	_, _, _, err := h1.mod.peerConn("h2", 0)
 	if err == nil {
-		t.Fatal("peerFor to a dead node succeeded")
+		t.Fatal("peerConn to a dead node succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("dead-node peerFor took %v, want bounded by redial budget", elapsed)
+		t.Fatalf("dead-node peerConn took %v, want bounded by redial budget", elapsed)
 	}
 }
 

@@ -8,35 +8,18 @@ import (
 	"repro/internal/obs"
 )
 
-// Ownership selects how inbound payload buffers are handed to local
-// translators. The buffers come from a process-wide pool; the question
-// is who is allowed to touch one after Translator.Deliver returns.
-type Ownership int
-
-const (
-	// OwnershipTracked (the default) delivers the pooled buffer
-	// zero-copy and enforces the contract instead of trusting it: after
-	// Deliver returns, the buffer enters a quarantine ring with a
-	// checksum and is only recycled once the checksum verifies. A
-	// translator that mutates a delivered payload after returning is
-	// detected (umiddle_transport_ownership_violations_total), the
-	// tainted buffer is discarded rather than recycled, and the event
-	// is traced. Detection covers the quarantine window (the last
-	// quarantineDepth deliveries plus everything still unflushed at
-	// Close); a violator can corrupt only its own copy, never a later
-	// frame's.
-	OwnershipTracked Ownership = iota
-	// OwnershipCopy copies every payload out of the pooled buffer
-	// before delivery — the old default. The message is safe to retain
-	// indefinitely; the cost is one allocation and copy per inbound
-	// message, which dominates the hot path at high rates.
-	OwnershipCopy
-	// OwnershipAliased delivers zero-copy with no tracking: the buffer
-	// is recycled the moment Deliver returns. Fastest, but a violating
-	// translator corrupts future frames undetected. Only for translator
-	// sets audited by the OwnershipTracked regression tests.
-	OwnershipAliased
-)
+// Inbound payloads are delivered zero-copy: a translator's Deliver sees
+// the pooled read buffer itself and must finish with it before
+// returning (core.Message.Clone to retain). The transport enforces that
+// contract instead of trusting it: after Deliver returns, the buffer
+// enters a quarantine ring with a checksum and is only recycled once
+// the checksum verifies. A translator that mutates a delivered payload
+// after returning is detected
+// (umiddle_transport_ownership_violations_total), the tainted buffer is
+// discarded rather than recycled, and the event is traced. Detection
+// covers the quarantine window (the last quarantineDepth deliveries
+// plus everything still unflushed at Close); a violator can corrupt
+// only its own copy, never a later frame's.
 
 // quarantineDepth is the number of delivered buffers held back from the
 // pool for verification. Deep enough to catch the common bug shape — a

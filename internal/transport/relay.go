@@ -124,7 +124,7 @@ func (m *Module) forwardFrame(f *frame) {
 	// destination stay on one ordered stream (preserving the per-path
 	// sequence the dispatcher promises downstream) while different
 	// destinations spread across the striped write connections.
-	fc, _, key, err := m.peerForStripe(next, dstStripe(hdr.Dst))
+	fc, _, key, err := m.peerConn(next, dstStripe(hdr.Dst))
 	if err != nil {
 		m.relayRouteFail.Inc()
 		m.opts.Logger.Warn("transport: relay next hop unreachable", "next", next, "err", err)

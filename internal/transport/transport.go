@@ -153,12 +153,11 @@ type path struct {
 	// creation), sharding the group-commit leader across paths while
 	// keeping any one path's frames on a single ordered stream.
 	stripe uint64
-	// skNode/skKey cache the last stripeKey built for this path's
-	// destination node: the key concatenates strings, and without the
-	// cache that is a per-message allocation on every striped path.
-	// fcCache additionally pins the established connection, so the
-	// steady state skips the module-mutex peer lookup (and the redial
-	// bookkeeping) per message; a failed write invalidates the cache and
+	// skNode, skKey and fcCache pin the established connection to the
+	// path's last destination node and its peer-map key, so the steady
+	// state skips the module-mutex peer lookup, the stripe-key
+	// concatenation (a per-message allocation on every striped path)
+	// and the redial bookkeeping; a failed write invalidates fcCache and
 	// the next attempt does the full lookup. Touched only by the path's
 	// worker goroutine (deliver runs there).
 	skNode  string
@@ -269,24 +268,10 @@ type Options struct {
 	// When a cycle exhausts, waiting deliveries fail (and consume one
 	// Retry attempt); a later delivery starts a fresh cycle.
 	Redial qos.RetryPolicy
-	// DeliverWorkers bounds the concurrent inbound delivery workers
-	// (default 8). Inbound deliveries are queued per destination port:
-	// one worker drains one destination at a time, preserving
-	// per-destination ordering while independent destinations proceed
-	// in parallel instead of serializing behind one per-connection
-	// queue.
-	DeliverWorkers int
 	// RelayTTL bounds the hops a deliver frame may be forwarded through
 	// when the destination shares no link and the directory supplies a
 	// relay route (default 8).
 	RelayTTL int
-	// DeliverOwnership selects how inbound payload buffers are handed
-	// to local translators. The default, OwnershipTracked, delivers
-	// zero-copy and verifies after the fact that no translator mutated
-	// a payload it had already returned (see Ownership). Translators
-	// must finish with msg.Payload before Deliver returns; retaining a
-	// payload requires copying it first (core.Message.Clone).
-	DeliverOwnership Ownership
 	// WriteShards sets how many striped connections this module opens
 	// toward each peer node (default: GOMAXPROCS, capped at 16). Each
 	// outbound path is pinned to one stripe, so per-path frame order is
@@ -316,9 +301,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.DeliverWorkers <= 0 {
-		o.DeliverWorkers = 8
 	}
 	if o.RelayTTL <= 0 {
 		o.RelayTTL = 8
@@ -392,8 +374,7 @@ type Module struct {
 
 	// dispatch fans inbound deliveries out per destination port.
 	dispatch *dispatcher
-	// quar is the tracked-ownership quarantine ring (nil unless
-	// DeliverOwnership is OwnershipTracked).
+	// quar is the tracked-ownership quarantine ring (ownership.go).
 	quar       *quarantine
 	violations *obs.Counter
 	// sharedPathMet is the single aggregate metric set every path uses
@@ -527,14 +508,12 @@ func New(node string, host *netemu.Host, dir *directory.Directory, opts Options)
 			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}),
 	}
 	m.violations = reg.Counter("umiddle_transport_ownership_violations_total", labels)
-	if m.opts.DeliverOwnership == OwnershipTracked {
-		m.quar = newQuarantine(node, m.violations, m.trace)
-	}
+	m.quar = newQuarantine(node, m.violations, m.trace)
 	if m.opts.DisablePathMetrics {
 		met := m.newPathMetricsFor(PathID("_aggregate"))
 		m.sharedPathMet = &met
 	}
-	m.dispatch = newDispatcher(m, m.opts.DeliverWorkers)
+	m.dispatch = newDispatcher(m)
 	return m
 }
 
@@ -626,16 +605,14 @@ func (m *Module) Close() error {
 	}
 	m.dispatch.close()
 	m.wg.Wait()
-	if m.quar != nil {
-		// Verify everything still quarantined so late mutations within
-		// the final window are reported before the counters are read.
-		m.quar.flush()
-	}
+	// Verify everything still quarantined so late mutations within the
+	// final window are reported before the counters are read.
+	m.quar.flush()
 	return nil
 }
 
 // OwnershipViolations reports how many delivered payloads were found
-// mutated after their Deliver returned (OwnershipTracked mode).
+// mutated after their Deliver returned.
 func (m *Module) OwnershipViolations() uint64 { return m.violations.Value() }
 
 func (m *Module) acceptLoop(l *netemu.Listener) {
@@ -819,68 +796,34 @@ func stripeKey(node string, stripe int) string {
 	return node + stripeSep + strconv.Itoa(stripe)
 }
 
-// peerForStripe is peerFor on one of the node's striped write
-// connections. Each outbound path is pinned to a stripe, so the
-// group-commit leader convoy of a single shared connection is sharded
-// across WriteShards connections while frames of any one path stay
-// ordered on one stream.
-func (m *Module) peerForStripe(node string, stripe uint64) (*frameConn, uint64, string, error) {
+// peerConn returns an established connection to node on one of its
+// striped write connections, with the connection's generation and its
+// peer-map key, starting a redial cycle and waiting for it (bounded by
+// DialTimeout) when the peer is down. Stripe 0 is the node's primary
+// connection, which also carries control frames. Each outbound path is
+// pinned to a stripe, so the group-commit leader convoy of a single
+// shared connection is sharded across WriteShards connections while
+// frames of any one path stay ordered on one stream.
+func (m *Module) peerConn(node string, stripe uint64) (*frameConn, uint64, string, error) {
 	key := stripeKey(node, int(stripe%uint64(m.opts.WriteShards)))
-	fc, gen, err := m.peerForKey(key, node)
-	return fc, gen, key, err
-}
-
-// pathConn is peerForStripe through the path's one-entry connection
-// cache (see path.skNode): steady-state deliveries reuse the cached
-// established conn without touching the module mutex or the peer-gen
-// map. Redial accounting still works because every generation change
-// passes through a cache miss — the old conn's writes fail, deliver
-// invalidates the cache, and the re-lookup here observes (and notes)
-// the new generation. Call only from the path's worker goroutine.
-func (m *Module) pathConn(p *path, node string) (*frameConn, string, error) {
-	if p.skNode != node {
-		p.skNode = node
-		p.skKey = stripeKey(node, int(p.stripe%uint64(m.opts.WriteShards)))
-		p.fcCache = nil
-	}
-	if p.fcCache != nil {
-		return p.fcCache, p.skKey, nil
-	}
-	fc, gen, err := m.peerForKey(p.skKey, node)
-	if err != nil {
-		return nil, p.skKey, err
-	}
-	p.notePeerGen(p.skKey, gen)
-	p.fcCache = fc
-	return fc, p.skKey, nil
-}
-
-// peerFor returns an established primary connection to a node and its
-// generation, starting a redial cycle and waiting for it (bounded by
-// DialTimeout) when the peer is down.
-func (m *Module) peerFor(node string) (*frameConn, uint64, error) {
-	return m.peerForKey(node, node)
-}
-
-func (m *Module) peerForKey(key, node string) (*frameConn, uint64, error) {
 	if m.host == nil {
-		return nil, 0, fmt.Errorf("transport: no network; cannot reach node %q", node)
+		return nil, 0, key, fmt.Errorf("transport: no network; cannot reach node %q", node)
 	}
 	p := m.getOrCreatePeer(key, node)
 	if p == nil {
-		return nil, 0, ErrClosed
+		return nil, 0, key, ErrClosed
 	}
 
 	p.mu.Lock()
 	if p.fc != nil {
 		fc, gen := p.fc, p.gen
 		p.mu.Unlock()
-		return fc, gen, nil
+		return fc, gen, key, nil
 	}
 	if !p.dialing {
 		if !m.trackWorker() {
 			p.mu.Unlock()
-			return nil, 0, ErrClosed
+			return nil, 0, key, ErrClosed
 		}
 		p.dialing = true
 		p.ready = make(chan struct{})
@@ -895,21 +838,41 @@ func (m *Module) peerForKey(key, node string) (*frameConn, uint64, error) {
 	select {
 	case <-ready:
 	case <-t.C:
-		return nil, 0, fmt.Errorf("transport: dial %q: timed out after %v", node, m.opts.DialTimeout)
+		return nil, 0, key, fmt.Errorf("transport: dial %q: timed out after %v", node, m.opts.DialTimeout)
 	case <-m.ctx.Done():
-		return nil, 0, ErrClosed
+		return nil, 0, key, ErrClosed
 	}
 
 	p.mu.Lock()
 	fc, gen, err := p.fc, p.gen, p.lastErr
 	p.mu.Unlock()
 	if fc != nil {
-		return fc, gen, nil
+		return fc, gen, key, nil
 	}
 	if err == nil {
 		err = fmt.Errorf("transport: connection to %q lost", node)
 	}
-	return nil, 0, err
+	return nil, 0, key, err
+}
+
+// pathConn is peerConn through the path's one-entry connection cache
+// (see path.skNode): steady-state deliveries reuse the cached
+// established conn without touching the module mutex or the peer-gen
+// map. Redial accounting still works because every generation change
+// passes through a cache miss — the old conn's writes fail, deliver
+// invalidates the cache, and the re-lookup here observes (and notes)
+// the new generation. Call only from the path's worker goroutine.
+func (m *Module) pathConn(p *path, node string) (*frameConn, string, error) {
+	if p.fcCache != nil && p.skNode == node {
+		return p.fcCache, p.skKey, nil
+	}
+	fc, gen, key, err := m.peerConn(node, p.stripe)
+	p.skNode, p.skKey, p.fcCache = node, key, fc
+	if err != nil {
+		return nil, key, err
+	}
+	p.notePeerGen(key, gen)
+	return fc, key, nil
 }
 
 // dialPeer performs one connection attempt: dial plus hello.
@@ -1083,7 +1046,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // request sends a frame to a node and waits for its ack/error.
 func (m *Module) request(node string, f frame) (frame, error) {
-	fc, _, err := m.peerFor(node)
+	fc, _, _, err := m.peerConn(node, 0)
 	if err != nil {
 		return frame{}, err
 	}
@@ -1510,7 +1473,7 @@ func (m *Module) removeLocalPath(id PathID) error {
 // payload transfers to the transport (core.Sink contract), so fan-out
 // shares one payload across paths instead of deep-copying per path —
 // translators and local deliveries treat payloads as immutable, which
-// OwnershipTracked verifies on the inbound side.
+// the inbound quarantine verifies (ownership.go).
 func (m *Module) Emit(src core.PortRef, msg core.Message) {
 	m.mu.Lock()
 	paths := m.bySrc[src] // immutable snapshot, see addPath
@@ -1679,27 +1642,17 @@ func (m *Module) deliver(p *path, dst core.PortRef, msg core.Message) error {
 	// A node behind a segment boundary is reached through the relay
 	// route the directory learned from its adverts: the frame carries
 	// the remaining hops and intermediaries forward it (relay.go).
+	f := deliverFrame(m.node, dst, msg)
 	if first, route, ok := m.routeFor(node); ok {
-		f := deliverFrame(m.node, dst, msg)
 		f.header.Route = route
 		f.header.TTL = m.opts.RelayTTL
 		f.header.RelayID = m.relayID.Add(1)
-		fc, key, err := m.pathConn(p, first)
-		if err != nil {
-			return err
-		}
-		if err := fc.write(&f); err != nil {
-			p.fcCache = nil
-			m.dropPeer(key, fc)
-			return err
-		}
-		return nil
+		node = first
 	}
 	fc, key, err := m.pathConn(p, node)
 	if err != nil {
 		return err
 	}
-	f := deliverFrame(m.node, dst, msg)
 	if err := fc.write(&f); err != nil {
 		// A failed write may have left a partial frame on the stream,
 		// desynchronizing the peer; discard the connection so the redial
@@ -1844,13 +1797,7 @@ func (c *lazyTimeoutCtx) Value(key any) any { return c.parent.Value(key) }
 type dirListener struct{ m *Module }
 
 var _ directory.NodeListener = dirListener{}
-var _ directory.BatchListener = dirListener{}
 
-// A single event is a one-element batch: each edge has one handler.
-func (l dirListener) TranslatorMapped(p core.Profile) { l.m.onMappedBatch([]core.Profile{p}) }
-func (l dirListener) TranslatorUnmapped(id core.TranslatorID) {
-	l.m.onUnmappedBatch([]core.TranslatorID{id})
-}
 func (l dirListener) TranslatorsMapped(ps []core.Profile)         { l.m.onMappedBatch(ps) }
 func (l dirListener) TranslatorsUnmapped(ids []core.TranslatorID) { l.m.onUnmappedBatch(ids) }
 func (l dirListener) NodeUp(string)                               {}

@@ -79,13 +79,12 @@ type frameHeader struct {
 // frame pairs a header with its raw payload.
 //
 // Payload ownership: a frame produced by read()/readFrameFrom owns a
-// pooled payload buffer. The receiver must either copy the payload out
-// (frame.message does) or finish using it (frame.messageZeroCopy)
-// before calling release(); after release the payload may be recycled
-// into a concurrent read and must not be touched. The header's strings
-// are never pooled: the routing names may be shared with the
-// connection's intern table, which only ever hands out immutable
-// strings.
+// pooled payload buffer. The receiver must finish using it
+// (frame.messageZeroCopy) before calling release(); after release the
+// payload may be recycled into a concurrent read and must not be
+// touched. The header's strings are never pooled: the routing names may
+// be shared with the connection's intern table, which only ever hands
+// out immutable strings.
 type frame struct {
 	header  frameHeader
 	payload []byte
@@ -635,21 +634,10 @@ func deliverFrame(from string, dst core.PortRef, msg core.Message) frame {
 	}
 }
 
-// message reconstructs a core.Message from a deliver frame, copying the
-// payload out of the frame's (pooled) buffer so the Message is safe to
-// retain indefinitely (OwnershipCopy).
-func (f *frame) message() core.Message {
-	msg := f.messageZeroCopy()
-	if len(f.payload) > 0 {
-		msg.Payload = append(make([]byte, 0, len(f.payload)), f.payload...)
-	}
-	return msg
-}
-
 // messageZeroCopy reconstructs a core.Message whose Payload aliases the
 // frame's buffer. The caller must guarantee the Message (and anything
 // built from its Payload) is not used after frame.release() — see
-// Ownership for the contract delivered translators must meet.
+// ownership.go for the contract delivered translators must meet.
 func (f *frame) messageZeroCopy() core.Message {
 	return core.Message{
 		Type:    f.header.MsgType,

@@ -61,7 +61,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if got.header.Type != frameDeliver || got.header.From != "node-a" {
 		t.Fatalf("header = %+v", got.header)
 	}
-	m := got.message()
+	m := got.messageZeroCopy()
 	if m.Type != "image/jpeg" || !bytes.Equal(m.Payload, msg.Payload) ||
 		m.Seq != 42 || m.Header("k") != "v" || m.Source != msg.Source {
 		t.Fatalf("message = %+v", m)
