@@ -37,7 +37,7 @@ func TestRemoveAfterCloseSafe(t *testing.T) {
 	d.send(advert{Type: "announce"}) // likewise
 	d.flushDelta()
 	d.scheduleSync()
-	d.sendHeartbeat()
+	d.sendHeartbeat(true)
 	time.Sleep(100 * time.Millisecond)
 
 	after := poll()

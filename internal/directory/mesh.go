@@ -1,8 +1,6 @@
 package directory
 
 import (
-	"encoding/json"
-	"errors"
 	"slices"
 	"sort"
 	"time"
@@ -140,24 +138,9 @@ func (d *Directory) relay(a advert) {
 	if group == nil {
 		return
 	}
-	data, err := json.Marshal(a)
-	if err != nil {
-		d.opts.Logger.Error("directory: marshal relay", "err", err)
-		return
-	}
 	d.sendMu.Lock()
 	defer d.sendMu.Unlock()
-	d.mu.RLock()
-	closed := d.closed
-	d.mu.RUnlock()
-	if closed {
-		return // never relay after our bye
-	}
-	d.met.relayed.Inc()
-	d.met.relayBytes.Add(uint64(len(data)))
-	if err := group.Send(data); err != nil && !errors.Is(err, netemu.ErrClosed) {
-		d.opts.Logger.Warn("directory: relay advert", "err", err)
-	}
+	d.emitLocked(group, a, d.met.relayed, d.met.relayBytes) // never after our bye
 }
 
 // maybeBootstrap decides whether a just-received announce should be
@@ -259,24 +242,9 @@ func (d *Directory) bootstrapNeighbor(peer string) {
 // windows for that origin. Unnumbered adverts are never relayed — they
 // serve exactly the links this node is on.
 func (d *Directory) sendUnnumbered(group *netemu.GroupConn, a advert) {
-	data, err := json.Marshal(a)
-	if err != nil {
-		d.opts.Logger.Error("directory: marshal bootstrap", "err", err)
-		return
-	}
 	d.sendMu.Lock()
 	defer d.sendMu.Unlock()
-	d.mu.RLock()
-	closed := d.closed
-	d.mu.RUnlock()
-	if closed {
-		return // never speak for others after our bye
-	}
-	d.met.bootstrap.Inc()
-	d.met.bootstrapBytes.Add(uint64(len(data)))
-	if err := group.Send(data); err != nil && !errors.Is(err, netemu.ErrClosed) {
-		d.opts.Logger.Warn("directory: send bootstrap", "err", err)
-	}
+	d.emitLocked(group, a, d.met.bootstrap, d.met.bootstrapBytes) // never after our bye
 }
 
 // Zone returns the namespace zone this node owns.

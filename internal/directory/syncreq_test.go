@@ -1,10 +1,13 @@
 package directory
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netemu"
+	"repro/internal/qos"
 )
 
 // TestSyncReqInsideRateLimitWindowStillServed: a sync_req arriving
@@ -123,5 +126,77 @@ func TestNetCancelledDeltaCausesNoSyncChurn(t *testing.T) {
 	}
 	if _, r := d2.Size(); r != 1 {
 		t.Fatalf("peer view changed: remote = %d, want 1", r)
+	}
+}
+
+// TestChurnCausesNoSyncRequests: a node replaces its devices one at a
+// time (add the next, wait until the peer has it, remove the old one)
+// while its heartbeat ticks every couple of milliseconds. A heartbeat
+// that read the digest while an add waited for the flusher, or that was
+// read before a delta yet reached the wire after it, claimed a state
+// the peer could not hold; the peer answered with a sync_req and the
+// node with a full-state sync, over a change already on its way. After
+// the join settles, churn alone must cause no sync_req.
+func TestChurnCausesNoSyncRequests(t *testing.T) {
+	opts := Options{
+		AnnounceInterval: 2 * time.Millisecond,
+		// A lease far beyond the cadence: a peer expired by a slow
+		// scheduler resyncs for a reason of its own.
+		Lease: qos.LeasePolicy{ExpiryFactor: 2000},
+	}
+	net := netemu.NewNetwork(netemu.Unlimited())
+	defer net.Close()
+	h1, h2 := net.MustAddHost("h1"), net.MustAddHost("h2")
+	d1, d2 := New("h1", h1, opts), New("h2", h2, opts)
+	defer d1.Close()
+	defer d2.Close()
+	d1.Start()
+	d2.Start()
+	const devices = 20
+	cur := make([]core.Translator, devices)
+	for i := range cur {
+		cur[i] = testTranslator(t, "h1", fmt.Sprintf("dev-%d", i))
+		if err := d1.AddLocal(cur[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 2*time.Second, func() bool { _, r := d2.Size(); return r == devices })
+	time.Sleep(50 * opts.AnnounceInterval) // let join-time syncs settle
+	reqBefore := sentCount(d2, "sync_req")
+	syncBefore := sentCount(d1, "sync")
+
+	deadline := time.Now().Add(5 * time.Second)
+	for gen := 0; gen < 300; gen++ {
+		i := gen % devices
+		next := testTranslator(t, "h1", fmt.Sprintf("dev-%d-g%d", i, gen))
+		if err := d1.AddLocal(next); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, err := d2.Resolve(next.Profile().ID); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("generation %d: peer never learned %s", gen, next.Profile().ID)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		if _, err := d1.RemoveLocal(cur[i].Profile().ID); err != nil {
+			t.Fatal(err)
+		}
+		cur[i] = next
+	}
+	waitFor(t, 2*time.Second, func() bool { _, r := d2.Size(); return r == devices })
+	time.Sleep(20 * opts.AnnounceInterval)
+	if got := sentCount(d2, "sync_req") - reqBefore; got != 0 {
+		t.Errorf("churn provoked %d sync_reqs, want 0", got)
+	}
+	if got := sentCount(d1, "sync") - syncBefore; got != 0 {
+		t.Errorf("churn provoked %d full-state syncs, want 0", got)
+	}
+	for _, tr := range cur {
+		if _, err := d2.Resolve(tr.Profile().ID); err != nil {
+			t.Fatalf("peer lost %s: %v", tr.Profile().ID, err)
+		}
 	}
 }
