@@ -129,3 +129,34 @@ func TestBatchListenerCoalescesAdvert(t *testing.T) {
 		t.Fatalf("ListenerFuncs saw unmapped %v, want the batch order %v", pu, unmapped)
 	}
 }
+
+// TestRemoveAdvertIsOneBatch: a "remove" advert naming five IDs, two of
+// them unknown, reaches a Listener as one call carrying the three known
+// IDs in advert order, and drops exactly those entries.
+func TestRemoveAdvertIsOneBatch(t *testing.T) {
+	d := New("h1", nil, Options{})
+	defer d.Close()
+	var profiles []core.Profile
+	for _, name := range []string{"a", "b", "c", "d"} {
+		profiles = append(profiles, remoteProfile("h2", name))
+	}
+	d.handleAdvert(advert{Type: "add", Node: "h2", Zone: "h2", Profiles: profiles})
+	rec := &batchRecorder{}
+	d.AddListener(rec)
+
+	id := func(name string) core.TranslatorID { return core.MakeTranslatorID("h2", "umiddle", name) }
+	d.handleAdvert(advert{Type: "remove", Node: "h2", Removed: []core.TranslatorID{
+		id("c"), id("ghost-1"), id("a"), id("ghost-2"), id("d"),
+	}})
+
+	_, unmapped, _, uCalls := rec.snapshot()
+	if uCalls != 1 {
+		t.Fatalf("remove advert took %d unmap calls, want 1", uCalls)
+	}
+	if want := []core.TranslatorID{id("c"), id("a"), id("d")}; !slices.Equal(unmapped, want) {
+		t.Fatalf("unmapped %v, want %v", unmapped, want)
+	}
+	if _, remote := d.Size(); remote != 1 {
+		t.Fatalf("remote entries after remove = %d, want 1 (b)", remote)
+	}
+}

@@ -1559,10 +1559,7 @@ func (d *Directory) handleAdvertSized(a advert, payloadBytes int) {
 	case "remove":
 		// A remove proves the sender is alive just as an announce does.
 		d.touchNode(a.Node, 0)
-		for _, id := range a.Removed {
-			d.dropShadow(id)
-			d.dropRemote(d.remap.Load().mapID(id))
-		}
+		d.dropRemotes(a.Removed)
 		d.noteNodeState(a)
 	case "sync":
 		d.touchNode(a.Node, a.LeaseMillis)
@@ -1760,18 +1757,6 @@ func (d *Directory) shadowDenied(p core.Profile, zone string) {
 	d.shadow[p.ID] = shadowEntry{node: p.Node, zone: zone, fp: fp, seen: time.Now(), profile: sealed}
 	d.xorNodeFP(p.Node, fp)
 	d.ownerAdd(p.Node)
-}
-
-// dropShadow forgets an ACL-denied entry (wire ID) on an explicit
-// remove from its owner.
-func (d *Directory) dropShadow(id core.TranslatorID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e, ok := d.shadow[id]; ok {
-		delete(d.shadow, id)
-		d.xorNodeFP(e.node, e.fp)
-		d.ownerDrop(e.node)
-	}
 }
 
 // reconcile applies a full-state "sync" advert: merge every carried
@@ -2030,24 +2015,41 @@ func (d *Directory) integrate(p core.Profile, zone string) (core.Profile, bool) 
 	return sealed, !known || changed
 }
 
-func (d *Directory) dropRemote(id core.TranslatorID) {
+// dropRemotes applies a "remove" advert's IDs (wire form) in one d.mu
+// section: each drops its ACL-shadowed entry and its remote entry under
+// the remapped ID. Listeners hear the dropped remote entries as one
+// batch, in advert order; IDs held in neither map are skipped.
+func (d *Directory) dropRemotes(wireIDs []core.TranslatorID) {
+	remap := d.remap.Load()
+	var dropped []core.TranslatorID
+	var listeners []Listener
 	d.mu.Lock()
-	e, known := d.remote[id]
-	if known {
+	heard := len(d.listeners) > 0
+	for _, id := range wireIDs {
+		if e, ok := d.shadow[id]; ok {
+			delete(d.shadow, id)
+			d.xorNodeFP(e.node, e.fp)
+			d.ownerDrop(e.node)
+		}
+		id = remap.mapID(id)
+		e, known := d.remote[id]
+		if !known {
+			continue
+		}
 		delete(d.remote, id)
 		d.xorNodeFP(e.profile.Node, e.fp)
 		d.ownerDrop(e.profile.Node)
 		d.touchLocked(id)
+		d.trace.Event("translator_unmapped", d.node, string(id))
+		if heard { // the batch escapes: build it only when heard
+			dropped = append(dropped, id)
+		}
 	}
-	listeners := append([]Listener(nil), d.listeners...)
+	if len(dropped) > 0 {
+		listeners = append(listeners, d.listeners...)
+	}
 	d.mu.Unlock()
-	if !known {
-		return
-	}
-	d.trace.Event("translator_unmapped", d.node, string(id))
-	if len(listeners) > 0 { // the batch escapes: build it only when heard
-		d.notifyUnmapped(listeners, []core.TranslatorID{id})
-	}
+	d.notifyUnmapped(listeners, dropped)
 }
 
 // touchNode renews a remote node's liveness lease, firing node_up when

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"maps"
 	"path/filepath"
@@ -23,7 +24,8 @@ func decodeBothWays(t *testing.T, wire []byte) (frame, error) {
 	var st readState
 	for _, pass := range []string{"miss", "hit"} {
 		var f frame
-		serr := readFrame(bytes.NewReader(wire), nil, &st, &f)
+		r := bytes.NewReader(wire)
+		serr := readFrame(bufio.NewReaderSize(r, largePayload), r, nil, &st, &f)
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("decode without a table: %v; with one (%s pass): %v", err, pass, serr)
 		}
@@ -52,6 +54,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(byte(2), "h1", "", "", "", "", "", "", "", uint64(7), int64(0), []byte{})
 	f.Add(byte(3), "h2", "", "", "", "", "", "", "", uint64(9), int64(-1), []byte("err"))
 	f.Add(byte(0), "", "", "", "", "", "", "", "", uint64(0), int64(0), []byte{0, 1, 2, 0xff})
+	// Payloads past the read buffer and ending exactly at its edge.
+	for _, fr := range remainderFrames() {
+		h := fr.header
+		f.Add(byte(0), h.From, string(h.Dst.Translator), h.Dst.Port, "", "", string(h.MsgType), "", "", uint64(0), int64(0), fr.payload)
+	}
 
 	f.Fuzz(func(t *testing.T, kind byte, from, dstTr, dstPort, srcTr, srcPort, msgType, hk, hv string, seq uint64, sent int64, payload []byte) {
 		var fr frame
@@ -144,6 +151,16 @@ func FuzzFrameRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x80, 0, 0, 2, 1, 1})
+	// A payload read past the read buffer, one ending exactly at its
+	// edge, and a remainder cut short.
+	for _, fr := range remainderFrames() {
+		wire, err := encodeFrame(fr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+		f.Add(wire[:len(wire)-1])
+	}
 	// Every frame type exactly as its sender encodes it.
 	vectors, err := filepath.Glob(filepath.Join("testdata", "golden", "*.hex"))
 	if err != nil || len(vectors) == 0 {
@@ -177,4 +194,19 @@ func FuzzFrameRead(f *testing.F) {
 			t.Fatalf("decode/encode/decode not stable:\n first %+v\n again %+v", fr.header, again.header)
 		}
 	})
+}
+
+// remainderFrames returns two deliver frames: one whose payload runs
+// past the read buffer, so its remainder is read directly, and one
+// whose payload ends exactly at the buffer's edge.
+func remainderFrames() []frame {
+	mk := func(n int) frame {
+		return deliverFrame("node-a", core.PortRef{Translator: "n/x/2", Port: "in"},
+			core.Message{Type: "application/octet-stream", Payload: bytes.Repeat([]byte{0xa5}, n)})
+	}
+	head, err := encodeFrame(mk(0))
+	if err != nil {
+		panic(err)
+	}
+	return []frame{mk(largePayload + 100), mk(largePayload - len(head))}
 }

@@ -28,6 +28,13 @@ const maxFrameSize = 16 << 20
 // stalled connection cannot buffer unbounded memory.
 const maxBatchBytes = 1 << 20
 
+// largePayload is the size from which a payload crosses the connection
+// without a copy of its own. On send it joins the write batch by
+// reference instead of being copied in; on receive it is the size of the
+// read buffer, so at most this many bytes of a payload pass through the
+// buffer and the rest is read straight into the pooled payload.
+const largePayload = 16 << 10
+
 // Frame types of the inter-node protocol.
 const (
 	frameHello      = "hello"
@@ -225,15 +232,43 @@ func (f *frame) release() {
 	f.pooled = false
 }
 
+// writeBatch is one group-commit batch. Frames are encoded back to back
+// into inline, except that a payload of at least largePayload bytes is
+// left out and referenced in refs: it is written from the sender's own
+// buffer, in its place in the stream.
+type writeBatch struct {
+	inline   []byte
+	refs     []payloadRef
+	refBytes int // sum of the referenced payloads' lengths
+	frames   int
+}
+
+// payloadRef places a referenced payload in the stream: after inline[:at].
+type payloadRef struct {
+	at      int
+	payload []byte
+}
+
+// reset empties the batch, keeping its buffers and dropping its references.
+func (b *writeBatch) reset() {
+	b.inline = b.inline[:0]
+	clear(b.refs)
+	b.refs = b.refs[:0]
+	b.refBytes = 0
+	b.frames = 0
+}
+
 // frameConn wraps a net.Conn with framed frame I/O. Writes use group
 // commit: the first writer to arrive becomes the leader and flushes the
-// shared batch buffer with one conn.Write; writers that arrive while a
-// flush is in flight append to the next batch and wait for its flush.
-// A solo writer therefore pays no added latency (its "batch" is itself,
-// flushed immediately), while concurrent writers coalesce into as few
-// conn writes as the connection can absorb. Every writer observes the
-// result of the write that carried its frame, so delivery retries see
-// real connection errors, not a deferred flush's.
+// shared batch; writers that arrive while a flush is in flight append to
+// the next batch and wait for its flush. A solo writer therefore pays no
+// added latency (its "batch" is itself, flushed immediately), while
+// concurrent writers coalesce into as few conn writes as the connection
+// can absorb. Every writer observes the result of the write that carried
+// its frame, so delivery retries see real connection errors, not a
+// deferred flush's. A referenced payload stays its writer's: write
+// returns only after the flush that carried it, and the batch drops the
+// reference before then.
 type frameConn struct {
 	conn net.Conn
 	r    *bufio.Reader
@@ -242,19 +277,19 @@ type frameConn struct {
 
 	wmu        sync.Mutex
 	wCond      *sync.Cond
-	wbuf       []byte // accumulating batch
-	wframes    int    // frames in wbuf
-	spare      []byte // the ping-pong's other buffer while wbuf holds one
-	leader     bool   // a writer is flushing
-	gen        uint64 // generation being accumulated
-	flushedGen uint64 // newest generation fully written
-	werr       error  // sticky: the connection is unusable after a failed write
+	batch      *writeBatch // accumulating; nil while the leader flushes the only one
+	spare      *writeBatch // the ping-pong's other batch while batch holds one
+	vec        net.Buffers // the leader's scratch: a flush's parts in wire order
+	leader     bool        // a writer is flushing
+	gen        uint64      // generation being accumulated
+	flushedGen uint64      // newest generation fully written
+	werr       error       // sticky: the connection is unusable after a failed write
 }
 
 func newFrameConn(conn net.Conn) *frameConn {
 	fc := &frameConn{
 		conn: conn,
-		r:    bufio.NewReaderSize(conn, 64<<10),
+		r:    bufio.NewReaderSize(conn, largePayload),
 		gen:  1,
 	}
 	fc.wCond = sync.NewCond(&fc.wmu)
@@ -431,6 +466,17 @@ func decodeDeliverHeader(data []byte, h *frameHeader, names *internTable) error 
 // [header][4B payload len][payload] — to buf. On error buf is returned
 // unmodified.
 func appendFrameEncoded(buf []byte, f *frame) ([]byte, error) {
+	buf, err := appendFrameHead(buf, f)
+	if err != nil {
+		return buf, err
+	}
+	return append(buf, f.payload...), nil
+}
+
+// appendFrameHead appends everything of the encoded frame but its
+// payload, after checking the combined size bound. On error buf is
+// returned unmodified.
+func appendFrameHead(buf []byte, f *frame) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // header length word, patched below
 	var hdrLen int
@@ -452,9 +498,7 @@ func appendFrameEncoded(buf []byte, f *frame) ([]byte, error) {
 	}
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(f.payload)))
-	buf = append(buf, lenBuf[:]...)
-	buf = append(buf, f.payload...)
-	return buf, nil
+	return append(buf, lenBuf[:]...), nil
 }
 
 // encodeFrame renders a frame to its wire form (used by tests and the
@@ -470,24 +514,33 @@ func (fc *frameConn) write(f *frame) error {
 	fc.wmu.Lock()
 	// Backpressure: don't grow the pending batch without bound while a
 	// flush is in flight.
-	for fc.werr == nil && fc.leader && len(fc.wbuf) >= maxBatchBytes {
+	for fc.werr == nil && fc.leader && fc.batch != nil && len(fc.batch.inline)+fc.batch.refBytes >= maxBatchBytes {
 		fc.wCond.Wait()
 	}
 	if fc.werr != nil {
 		fc.wmu.Unlock()
 		return fc.werr
 	}
-	if fc.wbuf == nil && fc.spare != nil {
-		fc.wbuf, fc.spare = fc.spare, nil
+	if fc.batch == nil {
+		fc.batch, fc.spare = fc.spare, nil
+		if fc.batch == nil {
+			fc.batch = new(writeBatch)
+		}
 	}
+	b := fc.batch
 	var encErr error
-	fc.wbuf, encErr = appendFrameEncoded(fc.wbuf, f)
-	if encErr != nil {
+	if b.inline, encErr = appendFrameHead(b.inline, f); encErr != nil {
 		fc.wCond.Broadcast()
 		fc.wmu.Unlock()
 		return encErr
 	}
-	fc.wframes++
+	if len(f.payload) >= largePayload {
+		b.refs = append(b.refs, payloadRef{at: len(b.inline), payload: f.payload})
+		b.refBytes += len(f.payload)
+	} else {
+		b.inline = append(b.inline, f.payload...)
+	}
+	b.frames++
 	myGen := fc.gen
 
 	if fc.leader {
@@ -502,36 +555,36 @@ func (fc *frameConn) write(f *frame) error {
 	}
 
 	fc.leader = true
-	for fc.werr == nil && len(fc.wbuf) > 0 {
-		buf := fc.wbuf
-		frames := fc.wframes
+	for fc.werr == nil && fc.batch != nil && fc.batch.frames > 0 {
+		b := fc.batch
 		flushGen := fc.gen
-		fc.wbuf = nil
-		fc.wframes = 0
+		fc.batch = nil
 		fc.gen++
 		fc.wmu.Unlock()
 
 		if fc.met != nil {
-			fc.met.batchFrames.Observe(float64(frames))
+			fc.met.batchFrames.Observe(float64(b.frames))
 		}
-		_, werr := fc.conn.Write(buf)
+		werr := fc.flush(b)
 
 		fc.wmu.Lock()
+		b.reset()
 		fc.flushedGen = flushGen
 		if werr != nil {
 			fc.werr = werr
+			// The pending batch is never written: drop its references now.
+			if fc.batch != nil {
+				fc.batch.reset()
+			}
 		}
-		// Keep both buffers of the ping-pong: the batch accumulates in
-		// one while the other is flushed. Only two ever exist (a third
-		// would be made by an append with both wbuf and spare empty,
-		// which means at most this one is out), so a slot is free. With
-		// the spare as the only slot, a flush that ended with no
-		// follower waiting dropped its warmed buffer, and the next
-		// followers' batch regrew from nil.
-		if fc.wbuf == nil {
-			fc.wbuf = buf[:0]
+		// Keep both batches of the ping-pong: one accumulates while the
+		// other is flushed. Only two ever exist (a third would be made
+		// with both slots empty, which means at most this one is out), so
+		// a slot is free.
+		if fc.batch == nil {
+			fc.batch = b
 		} else {
-			fc.spare = buf[:0]
+			fc.spare = b
 		}
 		fc.wCond.Broadcast()
 	}
@@ -542,31 +595,52 @@ func (fc *frameConn) write(f *frame) error {
 	return err
 }
 
+// flush writes one batch: its inline bytes with every referenced payload
+// in its place. Only the leader calls it, without holding wmu.
+func (fc *frameConn) flush(b *writeBatch) error {
+	vec := fc.vec[:0]
+	at := 0
+	for _, r := range b.refs {
+		vec = append(vec, b.inline[at:r.at], r.payload)
+		at = r.at
+	}
+	if at < len(b.inline) {
+		vec = append(vec, b.inline[at:])
+	}
+	// WriteTo consumes the slice it is called on; vec keeps the array.
+	fc.vec = vec
+	_, err := fc.vec.WriteTo(fc.conn)
+	clear(vec)
+	fc.vec = vec[:0]
+	return err
+}
+
 // read receives one frame into f. The frame's payload is a pooled
 // buffer; the caller owns it until frame.release(). One goroutine per
 // connection may call read: it uses the connection's scratch and intern
 // table.
 func (fc *frameConn) read(f *frame) error {
-	return readFrame(fc.r, fc.met, &fc.rs, f)
+	return readFrame(fc.r, fc.conn, fc.met, &fc.rs, f)
 }
 
 // readFrameFrom decodes one frame from r with no connection state:
-// every header string is a plain copy (tests and fuzzing).
+// every header string is a plain copy (tests and fuzzing). It buffers r
+// the way a connection does, so the decode path is the same.
 func readFrameFrom(r io.Reader, met *connMetrics) (frame, error) {
 	var f frame
-	if err := readFrame(r, met, nil, &f); err != nil {
+	if err := readFrame(bufio.NewReaderSize(r, largePayload), r, met, nil, &f); err != nil {
 		return frame{}, err
 	}
 	return f, nil
 }
 
-// readFrame decodes one frame from r into f; on error f holds no
-// buffer and its fields are unspecified. st is the connection's decode
-// state, nil for a one-off decode that interns nothing. Header and
-// payload lengths are validated against the same combined maxFrameSize
-// bound the writer enforces — checking them only individually would
-// accept frames up to twice the writable maximum.
-func readFrame(r io.Reader, met *connMetrics, st *readState, f *frame) error {
+// readFrame decodes one frame from r, a buffered reader over raw, into
+// f; on error f holds no buffer and its fields are unspecified. st is
+// the connection's decode state, nil for a one-off decode that interns
+// nothing. Header and payload lengths are validated against the same
+// combined maxFrameSize bound the writer enforces — checking them only
+// individually would accept frames up to twice the writable maximum.
+func readFrame(r *bufio.Reader, raw io.Reader, met *connMetrics, st *readState, f *frame) error {
 	*f = frame{}
 	var names *internTable
 	if st != nil {
@@ -607,7 +681,16 @@ func readFrame(r io.Reader, met *connMetrics, st *readState, f *frame) error {
 	if payloadLen > 0 {
 		f.payload = getBuf(int(payloadLen), met)
 		f.pooled = true
-		if _, err := io.ReadFull(r, f.payload); err != nil {
+		// Only the bytes r already holds are copied out of it; the rest
+		// is read from raw straight into the payload.
+		n := 0
+		if held := r.Buffered(); held > 0 {
+			n, _ = r.Read(f.payload[:min(held, len(f.payload))])
+		}
+		if _, err := io.ReadFull(raw, f.payload[n:]); err != nil {
+			if err == io.EOF && n > 0 {
+				err = io.ErrUnexpectedEOF // as one ReadFull of the payload reports it
+			}
 			f.release()
 			return err
 		}

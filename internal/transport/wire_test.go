@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -21,7 +22,14 @@ import (
 // connPair builds two frameConns over an emulated connection.
 func connPair(t *testing.T) (*frameConn, *frameConn) {
 	t.Helper()
-	n := netemu.NewNetwork(netemu.Unlimited())
+	client, server := linkPair(t, netemu.Unlimited())
+	return newFrameConn(client), newFrameConn(server)
+}
+
+// linkPair dials one emulated connection over a link with profile p.
+func linkPair(t *testing.T, p netemu.LinkProfile) (client, server net.Conn) {
+	t.Helper()
+	n := netemu.NewNetwork(p)
 	t.Cleanup(func() { n.Close() })
 	h1, h2 := n.MustAddHost("a"), n.MustAddHost("b")
 	l, err := h2.Listen(7000)
@@ -36,12 +44,11 @@ func connPair(t *testing.T) (*frameConn, *frameConn) {
 		}
 		accepted <- c
 	}()
-	client, err := h1.Dial(context.Background(), "b:7000")
+	client, err = h1.Dial(context.Background(), "b:7000")
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	server := <-accepted
-	return newFrameConn(client), newFrameConn(server)
+	return client, <-accepted
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -304,7 +311,7 @@ func startWriters(t *testing.T, fc *frameConn, f *frame, n int) <-chan error {
 	waitFor(t, 5*time.Second, func() bool {
 		fc.wmu.Lock()
 		defer fc.wmu.Unlock()
-		return fc.wframes == n
+		return fc.batch != nil && fc.batch.frames == n
 	})
 	return errs
 }
@@ -356,9 +363,9 @@ func TestWriteGroupCommitErrorFidelity(t *testing.T) {
 }
 
 // TestWriteBatchBuffersReused: the write ping-pong keeps both of its
-// buffers. A solo writer allocates nothing per frame, and a
-// leader-plus-follower round ends holding the same two backing arrays
-// the round before it used.
+// batches, each with its inline buffer and its reference list. A solo
+// writer allocates nothing per 64 KiB frame, and a leader-plus-follower
+// round ends holding the same backing arrays the round before it used.
 func TestWriteBatchBuffersReused(t *testing.T) {
 	f := deliverFrame("a", core.PortRef{Translator: "b/umiddle/tv", Port: "in"},
 		core.Message{Type: "application/octet-stream", Payload: make([]byte, 64<<10), Seq: 1})
@@ -372,37 +379,49 @@ func TestWriteBatchBuffersReused(t *testing.T) {
 		t.Fatalf("solo writer: %.1f allocations per frame, want 0", avg)
 	}
 
+	type arrays struct {
+		inline *byte
+		refs   *payloadRef
+	}
 	gc := newGatedConn()
 	fc := newFrameConn(gc)
-	round := func() [2]*byte {
+	round := func() [2]arrays {
 		leader := make(chan error, 1)
 		go func() { leader <- fc.write(&f) }()
 		<-gc.entered
 		follower := startWriters(t, fc, &f, 1)
 		gc.admit <- nil
-		<-gc.entered
-		gc.admit <- nil
-		if err := <-leader; err != nil {
-			t.Fatal(err)
-		}
-		if err := <-follower; err != nil {
-			t.Fatal(err)
+		// A flush with a referenced payload is several Writes: admit
+		// each until both writers return.
+		for pending := 2; pending > 0; {
+			var err error
+			select {
+			case <-gc.entered:
+				gc.admit <- nil
+				continue
+			case err = <-leader:
+			case err = <-follower:
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending--
 		}
 		fc.wmu.Lock()
 		defer fc.wmu.Unlock()
-		var arrays [2]*byte
-		for i, b := range [2][]byte{fc.wbuf, fc.spare} {
-			if cap(b) == 0 {
-				t.Fatal("a batch buffer was dropped after a two-buffer round")
+		var got [2]arrays
+		for i, b := range [2]*writeBatch{fc.batch, fc.spare} {
+			if b == nil || cap(b.inline) == 0 || cap(b.refs) == 0 {
+				t.Fatal("a batch buffer or reference list was dropped after a two-batch round")
 			}
-			arrays[i] = &b[:1][0]
+			got[i] = arrays{&b.inline[:1][0], &b.refs[:1][0]}
 		}
-		return arrays
+		return got
 	}
 	first := round()
 	for i := 0; i < 3; i++ {
 		got := round()
-		if got != first && got != [2]*byte{first[1], first[0]} {
+		if got != first && got != [2]arrays{first[1], first[0]} {
 			t.Fatalf("round %d ended with different batch buffers than the first round", i+2)
 		}
 	}
@@ -436,10 +455,11 @@ func TestInternTableBounded(t *testing.T) {
 	}
 
 	r := bytes.NewReader(wire)
+	br := bufio.NewReaderSize(r, largePayload)
 	var st readState
 	for i := range want {
 		var got frame
-		if err := readFrame(r, nil, &st, &got); err != nil {
+		if err := readFrame(br, r, nil, &st, &got); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got.header, want[i]) {

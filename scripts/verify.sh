@@ -7,7 +7,8 @@
 # the repo benchmark's own tests (a module of its own under benchmark/),
 # a repeat of the two tier-1 tests that used to flake, ten runs of the
 # directory's event-waiting, fold and golden-vector tests, five race runs
-# of the transport's fan-out equivalence and connect-race tests and of
+# of the transport's fan-out equivalence, connect-race and large-payload
+# wire tests and of
 # netemu's stream property and impairment-toggle tests, a 5-second fuzz
 # smoke per wire-codec target, a one-iteration
 # benchharness smoke run with -json output, and a bench-regression gate
@@ -56,9 +57,11 @@ go test -race $short_flag -run 'TestCrashRestartChaosAllMappers' ./internal/inte
 # write connections while translators churn and links flap.
 go test -race $short_flag -run 'TestShardedDispatchExactlyOnce' ./internal/transport/ -count=1
 # Directory-event fan-out: the indexed handlers against the full-scan
-# model over a random event sequence, and ConnectQuery racing a peer's
-# AddLocal or RemoveLocal (the path must end bound to what Lookup says).
-go test -race -count=5 -run 'TestFanOutIndexEquivalenceProperty|TestConnectQueryRacingPeer' ./internal/transport/
+# model over a random event sequence, ConnectQuery racing a peer's
+# AddLocal or RemoveLocal (the path must end bound to what Lookup says),
+# and concurrent writers of payloads sent by reference (one that
+# outlives its writer's write call is a data race only -race sees).
+go test -race -count=5 -run 'TestFanOutIndexEquivalenceProperty|TestConnectQueryRacingPeer|TestLargePayloadWireProperty' ./internal/transport/
 # netemu's stream fast path: random Write/Read sizes over an unshaped
 # and a shaped link (order, pacing, multi-segment reads, a bounded
 # queue), and impairments toggled on and off under a streaming writer.
