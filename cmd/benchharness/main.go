@@ -1,9 +1,11 @@
 // Command benchharness regenerates every table and figure of the
-// paper's evaluation (Section 5) and prints paper-vs-measured rows.
+// paper's evaluation (Section 5) and prints paper-vs-measured rows, plus
+// the directory-scale, open-loop load and restart experiments that go
+// beyond the paper.
 //
 // Usage:
 //
-//	benchharness [-exp all|fig10|sec52|fig11|table1] [-iters N] [-msgs N] [-json]
+//	benchharness [-exp all|table1|fig10|sec52|fig11|dirscale|load|restart] [-iters N] [-msgs N] [-json]
 //
 // With -json, each experiment additionally writes its rows to
 // BENCH_<exp>.json in the working directory, for machine consumption
@@ -29,7 +31,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig10, sec52, fig11, table1, qos, hotpath, dirscale, load, restart")
+	exp := flag.String("exp", "all", "experiment to run: all, table1, fig10, sec52, fig11, dirscale, load, restart")
 	iters := flag.Int("iters", 10, "mapping iterations per device type (fig10) / actions (sec52)")
 	msgs := flag.Int("msgs", 0, "messages per transport test (fig11); 0 = defaults")
 	pops := flag.String("pops", "", "comma-separated population points for dirscale (default 100,1000,10000)")
@@ -96,7 +98,7 @@ func main() {
 			}
 		}
 	}
-	known := map[string]bool{"all": true, "fig10": true, "sec52": true, "fig11": true, "table1": true, "qos": true, "hotpath": true, "dirscale": true, "load": true, "restart": true}
+	known := map[string]bool{"all": true, "table1": true, "fig10": true, "sec52": true, "fig11": true, "dirscale": true, "load": true, "restart": true}
 	if !known[*exp] {
 		fmt.Fprintf(os.Stderr, "benchharness: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -106,8 +108,6 @@ func main() {
 	run("fig10", func() error { return printFig10(*iters, writeJSON) })
 	run("sec52", func() error { return printSec52(*iters, writeJSON) })
 	run("fig11", func() error { return printFig11(*msgs, writeJSON) })
-	run("hotpath", func() error { return printHotPath(*msgs, writeJSON) })
-	run("qos", func() error { return printQoS(writeJSON) })
 	run("dirscale", func() error { return printDirScale(popList, meshList, *window, writeJSON) })
 	run("load", func() error { return printLoad(*bindings, *rate, *loadDur, *churn, writeJSON) })
 	run("restart", func() error { return printRestart(*entries, writeJSON) })
@@ -288,7 +288,7 @@ func printFig10(iters int, writeJSON jsonWriter) error {
 	if err := writeJSON("fig10", rows); err != nil {
 		return err
 	}
-	fmt.Println("shape check: the clock (14 ports, 3 services) must map slowest among UPnP devices.")
+	fmt.Println("shape check: the clock (14 ports, 3 services) must map slowest of the four devices.")
 	fmt.Println()
 	return nil
 }
@@ -320,7 +320,7 @@ func printSec52(iters int, writeJSON jsonWriter) error {
 		fmt.Fprintf(w, "%s\t%v\t%s\t%v\t%s\t%v\n",
 			r.Case, r.PaperTotal, native,
 			r.MeasuredTotal.Round(time.Microsecond*100), mNative,
-			r.MeasuredUMiddle.Round(time.Microsecond*100))
+			r.MeasuredUMiddle.Round(time.Microsecond/10))
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -328,7 +328,8 @@ func printSec52(iters int, writeJSON jsonWriter) error {
 	if err := writeJSON("sec52", []bench.Sec52Row{upnpRow, btRow}); err != nil {
 		return err
 	}
-	fmt.Println("shape check: the infrastructure itself contributes little to the overhead (paper Section 5.2).")
+	fmt.Println("shape check: the infrastructure itself contributes little to the overhead (paper Section 5.2);")
+	fmt.Println("uMiddle's share is each action's Deliver time minus the native call inside it.")
 	fmt.Println()
 	return nil
 }
@@ -352,32 +353,6 @@ func printFig11(msgs int, writeJSON jsonWriter) error {
 		return err
 	}
 	fmt.Println("shape check: TCP > MB > RMI > RMI-MB, bridged paths pay marshal/unmarshal twice.")
-	fmt.Println()
-	return nil
-}
-
-func printHotPath(msgs int, writeJSON jsonWriter) error {
-	fmt.Println("== Hot path: uMiddle deliver throughput (1400-byte messages, unlimited link) ==")
-	rows, err := bench.RunHotPath(msgs)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "test\tpaths\tmeasured Mbps\tmsgs/s\tmessages\telapsed")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.0f\t%d\t%v\n",
-			r.Test, r.Paths, r.MeasuredMbps, r.MsgsPerSec, r.Messages, r.Elapsed.Round(time.Millisecond))
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := writeJSON("hotpath", rows); err != nil {
-		return err
-	}
-	fmt.Println("shape check: software cost, not the emulated wire, is the ceiling here;")
-	fmt.Println("with trivial sinks the shared connection pipeline bounds both rows, so")
-	fmt.Println("x4 must stay close to x1 (a per-connection delivery queue would collapse")
-	fmt.Println("it when any destination stalls — see TestSlowDestinationDoesNotBlockOthers).")
 	fmt.Println()
 	return nil
 }
@@ -431,31 +406,6 @@ func printDirScale(pops []int, mesh []bench.MeshPoint, window time.Duration, wri
 	fmt.Println("unfiltered observer's at the same population (interest-driven selective propagation).")
 	fmt.Println("mesh: per-node advert bandwidth must stay population-independent across the chain,")
 	fmt.Println("and a fresh zone must join within a small factor of the 3-node baseline.")
-	fmt.Println()
-	return nil
-}
-
-func printQoS(writeJSON jsonWriter) error {
-	fmt.Println("== QoS ablation (paper Section 5.3 / future work): fast producer, slow consumer ==")
-	rows, err := bench.RunQoSAblation(time.Second, 20*time.Millisecond)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "policy\tproduced\tdelivered\tdropped\tbuffer high-water\tmean staleness")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%v\t%d\t%d\t%d\t%d\t%v\n",
-			r.Policy, r.Produced, r.Delivered, r.Dropped, r.HighWater,
-			r.MeanStaleness.Round(time.Microsecond*100))
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := writeJSON("qos", rows); err != nil {
-		return err
-	}
-	fmt.Println("shape check: block accumulates (stale, no drops); dropping policies bound staleness;")
-	fmt.Println("latest-only is freshest. This is the QoS control the paper names as major future work.")
 	fmt.Println()
 	return nil
 }

@@ -1,13 +1,14 @@
 // Package bench implements the paper's evaluation (Section 5) against
 // the emulated substrate: Figure 10 (service-level bridging), the
-// Section 5.2 in-text device-level measurements, and Figure 11
-// (transport-level bridging). Each experiment returns structured rows
-// pairing the paper's reported value with the measured one; the root
-// bench_test.go and cmd/benchharness both drive these runners.
+// Section 5.2 in-text device-level measurements, Figure 11
+// (transport-level bridging) and the Section 5.3 translation-buffer
+// ablation. Each experiment returns structured rows pairing the paper's
+// reported value with the measured one. The package's tests assert each
+// claim's shape (who wins, by roughly what factor); cmd/benchharness
+// prints and records the rows.
 //
 // Absolute numbers are not expected to match a 2006 Pentium M testbed —
-// EXPERIMENTS.md records both and discusses the shape criteria (who
-// wins, by roughly what factor).
+// EXPERIMENTS.md records both.
 package bench
 
 import (

@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// The experiment runners get small smoke tests here; the full
-// configurations run from the repository root's bench_test.go and
-// cmd/benchharness.
+// Each paper claim of Section 5 has one test here: the runner at a
+// small size, asserting the claim's shape. cmd/benchharness regenerates
+// the full-size rows.
 
 func TestRunFigure10Smoke(t *testing.T) {
 	if testing.Short() {
@@ -20,21 +20,25 @@ func TestRunFigure10Smoke(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
-	byDevice := map[string]Figure10Row{}
+	var clock Figure10Row
 	for _, r := range rows {
 		if r.Samples != 1 || r.MeasuredMean <= 0 {
 			t.Errorf("row %+v has no samples", r)
 		}
-		byDevice[r.Device] = r
+		t.Logf("%s: %d ports, %v", r.Device, r.Ports, r.MeasuredMean)
+		if r.Device == "UPnP Clock" {
+			clock = r
+		}
 	}
-	// Shape criterion: the clock (14 ports, 3 services) maps slower
-	// than the light (4 ports, 1 service).
-	if byDevice["UPnP Clock"].MeasuredMean <= byDevice["UPnP Light"].MeasuredMean {
-		t.Errorf("clock (%v) should map slower than light (%v)",
-			byDevice["UPnP Clock"].MeasuredMean, byDevice["UPnP Light"].MeasuredMean)
+	if clock.Ports != 14 {
+		t.Errorf("clock ports = %d, want 14", clock.Ports)
 	}
-	if PortCountOf(rows, "UPnP Clock") != 14 {
-		t.Errorf("clock ports = %d, want 14", PortCountOf(rows, "UPnP Clock"))
+	// Shape criterion: the clock (14 ports, 3 services) maps slowest of
+	// all four devices.
+	for _, r := range rows {
+		if r.Device != clock.Device && r.MeasuredMean >= clock.MeasuredMean {
+			t.Errorf("clock (%v) should map slower than %s (%v)", clock.MeasuredMean, r.Device, r.MeasuredMean)
+		}
 	}
 }
 
@@ -50,16 +54,18 @@ func TestRunSec52UPnPSmoke(t *testing.T) {
 	if row.MeasuredNative < UPnPActuationDelay {
 		t.Errorf("native = %v, want >= actuation delay", row.MeasuredNative)
 	}
-	// uMiddle's own overhead is sub-millisecond here, so total and
-	// native differ only within noise; allow a small negative slack.
+	// uMiddle's own overhead is microseconds here, so total and native
+	// differ only within noise; allow a small negative slack.
 	if row.MeasuredTotal < row.MeasuredNative-5*time.Millisecond {
 		t.Errorf("total %v < native %v beyond noise", row.MeasuredTotal, row.MeasuredNative)
 	}
-	// Shape criterion: the infrastructure contributes little — well
-	// under half the native-domain cost.
-	if row.MeasuredUMiddle > row.MeasuredNative/2 {
-		t.Errorf("uMiddle overhead %v too large vs native %v", row.MeasuredUMiddle, row.MeasuredNative)
+	// Shape criterion: the infrastructure contributes little — a
+	// measured, nonzero share well under half the native-domain cost
+	// (paper: 10 ms of 160 ms).
+	if !(row.MeasuredUMiddle > 0 && row.MeasuredUMiddle < row.MeasuredNative/2) {
+		t.Errorf("uMiddle share %v not in (0, native/2 = %v)", row.MeasuredUMiddle, row.MeasuredNative/2)
 	}
+	t.Logf("per action: total %v, native %v, uMiddle %v", row.MeasuredTotal, row.MeasuredNative, row.MeasuredUMiddle)
 }
 
 func TestRunSec52BluetoothSmoke(t *testing.T) {
@@ -84,28 +90,39 @@ func TestRunFigure11Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	tcp, err := RunFigure11TCP(200)
-	if err != nil {
-		t.Fatalf("tcp: %v", err)
+	// The paper's bars in its strict order, TCP > MB > RMI > RMI-MB,
+	// each with a floor at half its committed BENCH_fig11.json value.
+	bars := []struct {
+		run   func(int) (Figure11Row, error)
+		msgs  int
+		floor float64
+	}{
+		{RunFigure11TCP, 200, 4.80},
+		{RunFigure11MB, 200, 2.39},
+		{RunFigure11RMI, 100, 1.64},
+		{RunFigure11RMIMB, 100, 0.98},
 	}
-	mb, err := RunFigure11MB(200)
-	if err != nil {
-		t.Fatalf("mb: %v", err)
+	rows := make([]Figure11Row, len(bars))
+	for i, b := range bars {
+		row, err := b.run(b.msgs)
+		if err != nil {
+			t.Fatalf("%s: %v", row.Test, err)
+		}
+		if row.MeasuredMbps < b.floor {
+			t.Errorf("%s %.2f Mbps below its floor %.2f", row.Test, row.MeasuredMbps, b.floor)
+		}
+		if i > 0 && !(rows[i-1].MeasuredMbps > row.MeasuredMbps) {
+			t.Errorf("%s %.2f should beat %s %.2f", rows[i-1].Test, rows[i-1].MeasuredMbps, row.Test, row.MeasuredMbps)
+		}
+		rows[i] = row
 	}
-	rmiRow, err := RunFigure11RMI(100)
-	if err != nil {
-		t.Fatalf("rmi: %v", err)
-	}
-	// Shape criteria from the paper: everything sits below the TCP
-	// baseline; MB (streaming) beats RMI (synchronous RPC).
-	if !(tcp.MeasuredMbps > mb.MeasuredMbps) {
-		t.Errorf("tcp %.2f should beat mb %.2f", tcp.MeasuredMbps, mb.MeasuredMbps)
-	}
-	if !(mb.MeasuredMbps > rmiRow.MeasuredMbps) {
-		t.Errorf("mb %.2f should beat rmi %.2f", mb.MeasuredMbps, rmiRow.MeasuredMbps)
-	}
-	if tcp.MeasuredMbps > 11 {
+	tcp := rows[0]
+	if tcp.MeasuredMbps > 10 {
 		t.Errorf("tcp baseline %.2f exceeds the 10 Mbps link", tcp.MeasuredMbps)
+	}
+	for _, r := range rows {
+		t.Logf("%s: %.2f Mbps, %.2f of TCP (paper %.2f)", r.Test, r.MeasuredMbps,
+			r.MeasuredMbps/tcp.MeasuredMbps, r.PaperMbps/tcp.PaperMbps)
 	}
 }
 

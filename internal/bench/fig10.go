@@ -200,14 +200,3 @@ func summarizeFig10(label, platform string, paper float64, samples []mapper.Samp
 	}
 	return row
 }
-
-// PortCountOf returns the translator port count recorded for a device
-// label, or zero when absent.
-func PortCountOf(rows []Figure10Row, device string) int {
-	for _, r := range rows {
-		if r.Device == device {
-			return r.Ports
-		}
-	}
-	return 0
-}

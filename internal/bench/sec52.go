@@ -12,6 +12,7 @@ import (
 	"repro/internal/netemu"
 	"repro/internal/platform/bluetooth"
 	"repro/internal/platform/upnp"
+	"repro/internal/usdl"
 )
 
 // Sec52Row is one device-level bridging measurement from the paper's
@@ -29,8 +30,9 @@ type Sec52Row struct {
 	// MeasuredNative is the measured mean native-domain latency (direct
 	// control-point invocation, bypassing uMiddle), where applicable.
 	MeasuredNative time.Duration
-	// MeasuredUMiddle is MeasuredTotal - MeasuredNative: the
-	// infrastructure's own contribution.
+	// MeasuredUMiddle is the infrastructure's own mean contribution.
+	// For UPnP it is each action's Deliver time minus the native call
+	// inside it, as the translator's driver timed that call.
 	MeasuredUMiddle time.Duration
 	// Iterations is the number of operations averaged (the paper uses
 	// one hundred).
@@ -110,16 +112,18 @@ func RunSec52UPnP(iters int) (Sec52Row, error) {
 	svcInfo := desc.Device.Services[0]
 	// Through uMiddle: deliver to the translator's port, as an
 	// application's control request would arrive.
-	tr, ok := rt.Directory().Local(profile.ID)
+	local, _ := rt.Directory().Local(profile.ID)
+	tr, ok := local.(*usdl.GenericTranslator)
 	if !ok {
-		return row, fmt.Errorf("bench: translator not local")
+		return row, fmt.Errorf("bench: translator %s is not a local generic translator", profile.ID)
 	}
 	// The two are timed in one loop, a native invocation then a uMiddle
 	// one, so a load spike on the machine lands in both sums instead of
 	// in whichever loop it happened to hit. Native switches the light on
 	// and uMiddle switches it off, so every invocation of either kind
-	// changes the device's state.
-	var native, total time.Duration
+	// changes the device's state. uMiddle's share of an action is its
+	// Deliver time minus the native call the driver made inside it.
+	var native, total, share time.Duration
 	for i := 0; i < iters; i++ {
 		start := time.Now()
 		if _, err := cp.Invoke(context.Background(), location, svcInfo.ControlURL, upnp.ActionCall{
@@ -129,19 +133,19 @@ func RunSec52UPnP(iters int) (Sec52Row, error) {
 		}); err != nil {
 			return row, fmt.Errorf("bench: native invoke: %w", err)
 		}
+		invoked := tr.Stats().InvokeTime
 		mid := time.Now()
 		if err := tr.Deliver(context.Background(), "power-off", core.Message{}); err != nil {
 			return row, fmt.Errorf("bench: deliver: %w", err)
 		}
+		deliver := time.Since(mid)
 		native += mid.Sub(start)
-		total += time.Since(mid)
+		total += deliver
+		share += deliver - (tr.Stats().InvokeTime - invoked)
 	}
 	row.MeasuredNative = native / time.Duration(iters)
 	row.MeasuredTotal = total / time.Duration(iters)
-	row.MeasuredUMiddle = row.MeasuredTotal - row.MeasuredNative
-	if row.MeasuredUMiddle < 0 {
-		row.MeasuredUMiddle = 0
-	}
+	row.MeasuredUMiddle = share / time.Duration(iters)
 	return row, nil
 }
 

@@ -115,4 +115,3 @@ func TestPublishCreatesReturnStream(t *testing.T) {
 		t.Fatalf("return stream was mapped: %v", imp.Profiles())
 	}
 }
-

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 )
@@ -51,6 +52,9 @@ type Stats struct {
 	Invoked uint64
 	// Events counts native events emitted into uMiddle.
 	Events uint64
+	// InvokeTime is the cumulative time spent inside the driver's
+	// native actions.
+	InvokeTime time.Duration
 }
 
 var _ core.Translator = (*GenericTranslator)(nil)
@@ -101,11 +105,13 @@ func (g *GenericTranslator) bindHandler(bind Bind) core.InputHandler {
 			}
 			args[a.Name] = v
 		}
+		start := time.Now()
+		result, err := g.driver.Invoke(ctx, bind.Action, args, msg.Payload)
 		g.mu.Lock()
 		g.stats.Delivered++
 		g.stats.Invoked++
+		g.stats.InvokeTime += time.Since(start)
 		g.mu.Unlock()
-		result, err := g.driver.Invoke(ctx, bind.Action, args, msg.Payload)
 		if err != nil {
 			return fmt.Errorf("usdl: action %q on %s: %w", bind.Action, g.base.ID(), err)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -277,6 +278,7 @@ func TestGenericTranslatorInvokesDriver(t *testing.T) {
 	driver := DriverFunc(func(_ context.Context, action string, args map[string]string, _ []byte) ([]byte, error) {
 		gotAction = action
 		gotArgs = args
+		time.Sleep(time.Millisecond)
 		return nil, nil
 	})
 	profile := core.Profile{
@@ -302,7 +304,8 @@ func TestGenericTranslatorInvokesDriver(t *testing.T) {
 	if gotArgs["Power"] != "0" {
 		t.Fatalf("power-off args = %v", gotArgs)
 	}
-	if s := g.Stats(); s.Invoked != 2 || s.Delivered != 2 {
+	// Each action sleeps 1ms inside the driver; InvokeTime counts it.
+	if s := g.Stats(); s.Invoked != 2 || s.Delivered != 2 || s.InvokeTime < 2*time.Millisecond {
 		t.Fatalf("stats = %+v", s)
 	}
 }
